@@ -47,8 +47,8 @@ class ReplayBuffer:
         self.conts = np.zeros((capacity, n_continuous), dtype=np.float32)
         self.actions = np.zeros(capacity, dtype=np.int64)
         self.rewards = np.zeros(capacity, dtype=np.float32)
-        self.next_images = np.zeros_like(self.images)
-        self.next_conts = np.zeros_like(self.conts)
+        self.next_images = np.zeros(self.images.shape, self.images.dtype)
+        self.next_conts = np.zeros(self.conts.shape, self.conts.dtype)
         self.terminals = np.zeros(capacity, dtype=bool)
         self.size = 0
         self.cursor = 0

@@ -111,6 +111,7 @@ class SurveillanceSim:
         self.belief: BeliefMap | None = None
         self.aircraft: list[AircraftState] = []
         self.step_index = 0
+        self._images: dict = {}
 
     def reset(self, rng: np.random.Generator) -> None:
         cfg = self.config
@@ -137,6 +138,7 @@ class SurveillanceSim:
         self.belief = belief
         self.aircraft = aircraft
         self.step_index = 0
+        self._images.clear()
 
     @property
     def done(self) -> bool:
@@ -157,6 +159,7 @@ class SurveillanceSim:
             self.grid = step_fire(self.grid, cfg.propagation, cfg.wind, rng)
             fire_stepped = True
         self.belief, discovered = update_belief(self.belief, self.grid, self.aircraft)
+        self._images.clear()
         return StepResult(aircraft=tuple(self.aircraft), discovered=discovered,
                           fire_stepped=fire_stepped, done=self.done)
 
@@ -174,13 +177,24 @@ class SurveillanceSim:
         return np.array([g.phi_own, g.rho / self.config.rho_scale,
                          g.theta, g.psi_rel, g.phi_other], dtype=np.float32)
 
+    def _once(self, kind: str, i: int, source, make):
+        """make(source, state) once per (grid or belief, aircraft i's state)
+        pair, both checked by identity; step and reset drop every entry."""
+        hit, state = self._images.get((kind, i), (None, None)), self.aircraft[i]
+        if hit[0] is not source or hit[1] is not state:
+            hit = self._images[kind, i] = (source, state, make(source, state))
+        return hit[2]
+
+    def observation(self, i: int):
+        """Aircraft i's polar view of the true fire, rendered once per state."""
+        return self._once(OBSERVATION, i, self.grid, lambda grid, state: render_observation(
+            grid, state, self.bins, self.config.n_angle_bins))
+
     def observation_image(self, i: int) -> np.ndarray:
-        obs = render_observation(self.grid, self.aircraft[i], self.bins,
-                                 self.config.n_angle_bins)
-        return obs.values.astype(np.float32)[:, :, None]
+        return self.observation(i).values.astype(np.float32)[:, :, None]
 
     def belief_image(self, i: int) -> np.ndarray:
-        return ego_belief_image(self.belief, self.aircraft[i])
+        return self._once(BELIEF, i, self.belief, ego_belief_image)
 
     def state_image(self, i: int, approach: str) -> np.ndarray:
         if approach == OBSERVATION:
@@ -194,7 +208,7 @@ class SurveillanceSim:
     def observation_reward(self, i: int) -> float:
         """Dense shaping reward for aircraft i at the current state."""
         cfg = self.config
-        obs = render_observation(self.grid, self.aircraft[i], self.bins, cfg.n_angle_bins)
+        obs = self.observation(i)
         total = (fire_distance_penalty(obs, self.bins, cfg.weights)
                  + cold_cells_penalty(obs, self.bins, cfg.weights)
                  + bank_penalty(self.aircraft[i].phi, cfg.weights))

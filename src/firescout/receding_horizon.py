@@ -5,23 +5,26 @@ positions, scores candidate trajectories with the dense observation
 rewards, executes a prefix, then re-plans. Each aircraft plans
 independently; there is no joint action space.
 
-Candidate scoring is vectorized across the trajectory's steps: the
-planner simulates the state sequence, then samples the fire map at every
-(step, range bin, sector) point in one shot. A descent flip at position
-p reuses the per-step rewards before p unchanged, so candidate scores
-are bit-identical to scoring the whole candidate from scratch.
+The restarts descend in lockstep: each round flies a window of
+single-flip candidates per restart as rows of one array and samples the
+fire once for all their tail states. The array kinematics repeat
+integrate's float operations in its order, so plans and scores equal
+those of re-flying one candidate at a time, bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aircraft import Action, AircraftState, apply_action, integrate
+from .aircraft import G, SPEED, Action, AircraftState, apply_action, \
+    integrate, wrap_angle  # noqa: F401 (integrate: _fly repeats it on arrays)
 from .fire import FireGrid
 from .rewards import RewardWeights
-from .sensing import RangeBins, build_range_bins
+from .sensing import RangeBins, build_range_bins, sample_polar
 
 
 @dataclass(frozen=True)
@@ -45,55 +48,77 @@ class RHConfig:
         return build_range_bins(self.n_range_bins, self.max_range_m)
 
 
-def _trajectory(start: AircraftState, actions: list[Action],
-                dt: float) -> list[AircraftState]:
-    states = []
-    state = start
-    for a in actions:
-        state = integrate(apply_action(state, a), dt)
-        states.append(state)
-    return states
+@functools.lru_cache(maxsize=256)
+def _bank_levels(phi0: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The bank angles apply_action reaches from phi0 as a walk table: level
+    e (even) has bank phi[e] and turn rate omega[e]; action a leads to walk[e + a]."""
+    levels, walk = [phi0], []
+    for phi in levels:
+        for a in Action:
+            nxt = apply_action(AircraftState(0.0, 0.0, phi=phi), a).phi
+            if nxt not in levels:
+                levels.append(nxt)
+            walk.append(2 * levels.index(nxt))
+    phi = np.repeat(levels, 2)
+    return phi, G * np.array([math.tan(p) for p in phi]) / SPEED, np.array(walk)
 
 
-def _batch_rewards(grid: FireGrid, states: list[AircraftState],
-                   peers: list[AircraftState], w: RewardWeights,
-                   bins: RangeBins, n_angle_bins: int) -> np.ndarray:
-    """Per-step dense reward for every state at once, shape (len(states),).
+def _fly(start: AircraftState, actions: np.ndarray, dt: float):
+    """Every state of every row of actions (n, T) as (n, T) arrays x, y,
+    psi, phi, equal to chaining integrate(apply_action(state, a), dt).
 
-    Semantics match the scalar reward functions: nearest burning bin
-    center (full range when nothing burns in view), cold bins inside r0,
-    squared bank, and exp-of-range separation to each frozen peer.
+    Sums run in integrate's order through np.add.accumulate; a straight
+    step adds -0.0 to the heading, which changes no bit. Where a turning
+    step leaves (-pi, pi], wrap_angle wraps it and the row is summed again.
     """
-    n = len(states)
-    if n == 0:
-        return np.zeros(0)
-    xs = np.array([s.x for s in states])
-    ys = np.array([s.y for s in states])
-    psis = np.array([s.psi for s in states])
-    phis = np.array([s.phi for s in states])
+    n, T = actions.shape
+    phis, omegas, walk = _bank_levels(start.phi)
+    level = np.zeros((T + 1, n), dtype=np.intp)
+    for k, a in enumerate(actions.T):
+        level[k + 1] = walk.take(level[k] + a)
+    phi, omega = phis.take(level[1:]), omegas.take(level[1:])
+    turning = np.abs(omega) >= 1e-9
+    steps = np.vstack([np.full(n, start.psi), np.where(turning, omega * dt, -0.0)])
+    psi = np.add.accumulate(steps)          # row 0 is the start
+    head, row = psi[1:], np.arange(T)[:, None]
+    out = turning & ((head > math.pi) | (head <= -math.pi))
+    while out.any():
+        cols = np.nonzero(out.any(axis=0))[0]
+        at = out[:, cols].argmax(axis=0)
+        seq = np.where(row > at, steps[1:, cols], -0.0)
+        seq[at, np.arange(len(cols))] = [wrap_angle(a) for a in head[at, cols]]
+        seq = np.add.accumulate(seq)
+        head[:, cols] = np.where(row >= at, seq, head[:, cols])
+        out[:, cols] = turning[:, cols] & (row > at) & ((seq > math.pi) | (seq <= -math.pi))
+    sin, cos = np.sin(psi), np.cos(psi)
+    new = psi[:-1] + steps[1:]              # headings before wrapping
+    sin_new, cos_new, moved = sin[1:].copy(), cos[1:].copy(), new != head
+    sin_new[moved], cos_new[moved] = np.sin(new[moved]), np.cos(new[moved])
+    radius = SPEED / np.where(turning, omega, 1.0)
+    dx = np.where(turning, radius * (sin_new - sin[:-1]), SPEED * cos[:-1] * dt)
+    dy = np.where(turning, -(radius * (cos_new - cos[:-1])), SPEED * sin[:-1] * dt)
+    x = np.add.accumulate(np.vstack([np.full(n, start.x), dx]))[1:]
+    y = np.add.accumulate(np.vstack([np.full(n, start.y), dy]))[1:]
+    return x.T, y.T, head.T, phi.T
 
-    sector = 2.0 * np.pi / n_angle_bins
-    bearings = psis[:, None] + (np.arange(n_angle_bins) + 0.5)[None, :] * sector
+
+def _tail_rewards(grid, start, actions, first, peers, w, bins, n_angle_bins, dt):
+    """Dense reward of every state of every row of actions (n, T) from
+    column first[i] on, 0 before it, as the scalar reward terms give it.
+    """
+    tail = np.arange(actions.shape[1]) >= first[:, None]
+    x, y, psi, phi = (v[tail] for v in _fly(start, actions, dt))
+    values = sample_polar(grid, x, y, psi, bins, n_angle_bins).transpose(1, 2, 0)
     radii = bins.centers
-    px = xs[:, None, None] + radii[None, :, None] * np.cos(bearings)[:, None, :]
-    py = ys[:, None, None] + radii[None, :, None] * np.sin(bearings)[:, None, :]
-    ix = np.floor(px / grid.cell_size).astype(np.int64)
-    iy = np.floor(py / grid.cell_size).astype(np.int64)
-    inside = (ix >= 0) & (ix < grid.width) & (iy >= 0) & (iy < grid.height)
-    values = np.zeros((n, bins.n_bins, n_angle_bins), dtype=bool)
-    values[inside] = grid.burning[iy[inside], ix[inside]]
-
-    burning_rows = values.any(axis=2)
-    nearest = np.where(burning_rows, radii[None, :], np.inf).min(axis=1)
+    nearest = np.where(values.any(axis=1), radii[:, None], np.inf).min(axis=0)
     r1 = -w.lambda1 * np.where(np.isinf(nearest), bins.max_range, nearest)
-    near_rows = radii < w.r0
-    r2 = -w.lambda2 * (~values[:, near_rows, :]).sum(axis=(1, 2))
-    r3 = -w.lambda3 * phis * phis
-    total = r1 + r2 + r3
+    r2 = -w.lambda2 * (~values[radii < w.r0]).sum(axis=(0, 1))
+    total = r1 + r2 + -w.lambda3 * phi * phi
     for p in peers:
-        rho = np.hypot(xs - p.x, ys - p.y)
-        total = total - w.lambda4 * np.exp(-rho / w.c)
-    return total
+        total = total - w.lambda4 * np.exp(-np.hypot(x - p.x, y - p.y) / w.c)
+    out = np.zeros(actions.shape)
+    out[tail] = total
+    return out
 
 
 def rollout_score(grid: FireGrid, start: AircraftState, actions: list[Action],
@@ -103,42 +128,8 @@ def rollout_score(grid: FireGrid, start: AircraftState, actions: list[Action],
 
     Peers stay put for the separation term. An empty sequence scores 0.
     """
-    states = _trajectory(start, actions, dt)
-    return float(_batch_rewards(grid, states, peers, w, bins, n_angle_bins).sum())
-
-
-def _flipped(a: Action) -> Action:
-    return Action(1 - int(a))
-
-
-def _descend(grid, start, actions, peers, w, bins, n_angle_bins, dt):
-    """Positional sweeps until no single flip strictly improves the score.
-
-    A flip at position p leaves steps 0..p-1 untouched, so only the tail
-    is re-scored; per-step rewards are independent across steps, making
-    the spliced score equal to rollout_score on the candidate.
-    """
-    states = _trajectory(start, actions, dt)
-    rewards = _batch_rewards(grid, states, peers, w, bins, n_angle_bins)
-    score = float(rewards.sum())
-    improved = True
-    while improved:
-        improved = False
-        for pos in range(len(actions)):
-            tail_start = states[pos - 1] if pos > 0 else start
-            tail_actions = [_flipped(actions[pos])] + actions[pos + 1:]
-            tail_states = _trajectory(tail_start, tail_actions, dt)
-            tail_rewards = _batch_rewards(grid, tail_states, peers, w, bins,
-                                          n_angle_bins)
-            cand_rewards = np.concatenate([rewards[:pos], tail_rewards])
-            cand = float(cand_rewards.sum())
-            if cand > score:
-                actions = actions[:pos] + tail_actions
-                states = states[:pos] + tail_states
-                rewards = cand_rewards
-                score = cand
-                improved = True
-    return actions, score
+    return float(_tail_rewards(grid, start, np.array([actions], dtype=np.intp), np.zeros(1),
+                               peers, w, bins, n_angle_bins, dt).sum())
 
 
 def optimize_trajectory(grid: FireGrid, start: AircraftState,
@@ -146,19 +137,42 @@ def optimize_trajectory(grid: FireGrid, start: AircraftState,
                         rng: np.random.Generator) -> tuple[list[Action], float]:
     """Coordinate descent from uniform random starts; best restart wins.
 
-    Ties keep the earliest restart, so the result is deterministic for a
-    given rng state.
+    Each restart sweeps its positions in order, taking every flip that
+    strictly raises the score, until a sweep flips nothing. A flip at
+    position p leaves the rewards before p unchanged, so only the tail is
+    scored. A window starts 4 positions wide and doubles while nothing in
+    it improves. Ties keep the earliest restart, so the result is
+    deterministic for a given rng state.
     """
-    bins = cfg.bins()
-    best_actions: list[Action] | None = None
-    best_score = -np.inf
-    for _ in range(cfg.restarts):
-        init = [Action(int(a)) for a in rng.integers(2, size=cfg.horizon_steps)]
-        actions, score = _descend(grid, start, init, peers, cfg.weights, bins,
-                                  cfg.n_angle_bins, cfg.dt)
-        if score > best_score:
-            best_actions, best_score = actions, score
-    return best_actions, float(best_score)
+    T = cfg.horizon_steps
+    args = (peers, cfg.weights, cfg.bins(), cfg.n_angle_bins, cfg.dt)
+    plans = np.array([rng.integers(2, size=T) for _ in range(cfg.restarts)])
+    rewards = _tail_rewards(grid, start, plans, np.zeros(len(plans)), *args)
+    scores = rewards.sum(axis=1)
+    pos, width, flipped = [0] * len(plans), [4] * len(plans), [False] * len(plans)
+    active = list(range(len(plans)))
+    while active:
+        windows = [np.arange(pos[r], min(pos[r] + width[r], T)) for r in active]
+        owner = np.repeat(active, [len(ps) for ps in windows])
+        flips = np.concatenate(windows)
+        cands = plans[owner]
+        cands[np.arange(len(flips)), flips] ^= 1
+        full = np.where(np.arange(T) < flips[:, None], rewards[owner],
+                        _tail_rewards(grid, start, cands, flips, *args))
+        sums = full.sum(axis=1)
+        for r, ps in zip(active, windows):
+            better = np.nonzero((owner == r) & (sums > scores[r]))[0]
+            if better.size:
+                k = better[0]
+                plans[r], rewards[r], scores[r] = cands[k], full[k], sums[k]
+                pos[r], width[r], flipped[r] = flips[k] + 1, 4, True
+            else:
+                pos[r], width[r] = ps[-1] + 1, 2 * width[r]
+            if pos[r] == T and flipped[r]:
+                pos[r], flipped[r] = 0, False
+        active = [r for r in active if pos[r] < T]
+    best = int(np.argmax(scores))
+    return [Action(int(a)) for a in plans[best]], float(scores[best])
 
 
 @dataclass

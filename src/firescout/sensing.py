@@ -79,20 +79,31 @@ class PolarObservation:
     bins: RangeBins
 
 
+def sample_polar(grid: FireGrid, xs, ys, psis, bins: RangeBins,
+                 n_angle_bins: int = 30) -> np.ndarray:
+    """Burning flags at every (range bin, sector) center point of n poses,
+    shape (n, n_range, n_angle); points off the grid read False.
+    """
+    bearings = psis + (np.arange(n_angle_bins) + 0.5)[:, None] * (2.0 * np.pi / n_angle_bins)
+    h, w = grid.burning.shape
+    cells = []    # (n_range, n_angle, n): every pass runs over the poses
+    for trig, at, edge in ((np.cos, xs, w), (np.sin, ys, h)):
+        p = bins.centers[:, None, None] * trig(bearings)
+        p += at
+        p /= grid.cell_size
+        # past an edge, clamp onto a False row or column (index -1 wraps to it)
+        cells.append(np.floor(np.clip(p, -1.0, edge, out=p), out=p))
+    padded = np.zeros((h + 1, w + 1), dtype=bool)
+    padded[:h, :w] = grid.burning
+    flat = (cells[1] * (w + 1) + cells[0]).astype(np.intp)
+    return padded.ravel().take(flat).transpose(2, 0, 1)
+
+
 def render_observation(grid: FireGrid, state: AircraftState, bins: RangeBins,
                        n_angle_bins: int = 30) -> PolarObservation:
     """Sample the true fire at every (range bin, sector) center point."""
-    sector = 2.0 * np.pi / n_angle_bins
-    bearings = state.psi + (np.arange(n_angle_bins) + 0.5) * sector
-    radii = bins.centers
-    px = state.x + radii[:, None] * np.cos(bearings)[None, :]
-    py = state.y + radii[:, None] * np.sin(bearings)[None, :]
-    ix = np.floor(px / grid.cell_size).astype(np.int64)
-    iy = np.floor(py / grid.cell_size).astype(np.int64)
-    inside = (ix >= 0) & (ix < grid.width) & (iy >= 0) & (iy < grid.height)
-    values = np.zeros((bins.n_bins, n_angle_bins), dtype=bool)
-    values[inside] = grid.burning[iy[inside], ix[inside]]
-    return PolarObservation(values=values, bins=bins)
+    values = sample_polar(grid, [state.x], [state.y], [state.psi], bins, n_angle_bins)
+    return PolarObservation(values=values[0], bins=bins)
 
 
 @dataclass

@@ -6,10 +6,14 @@ frozen by hand. The two-state MDP oracle has Q* = [1/(1-g), g/(1-g)].
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import firescout
 from firescout.aircraft import Action
 from firescout.dqn import (
     CurvePoint,
@@ -216,6 +220,25 @@ class TestReplayBuffer:
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             ReplayBuffer(0, TINY_IMAGE)
+
+    def test_construction_touches_no_storage(self):
+        """A 100k buffer of 20x20x2 images reserves 320 MB per image array;
+        building it must not fault those pages in. Measured in a fresh
+        process, where ru_maxrss (KiB on Linux) starts from the import.
+        """
+        code = ("import resource\n"
+                "from firescout.dqn import ReplayBuffer\n"
+                "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+                "buf = ReplayBuffer(100_000, (20, 20, 2))\n"
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n")
+        env = dict(os.environ)
+        package_root = os.path.dirname(os.path.dirname(os.path.abspath(firescout.__file__)))
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (package_root, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 100 * 1024
 
 
 def toy_trainer(seed=0, gamma=0.9, period=50, iterations_cfg=1000):

@@ -351,3 +351,45 @@ class TestProfiles:
                                        total_iterations=500)
         assert desk.total_iterations == 500
         assert desk.approach == "observation"
+
+
+class TestBadInputExitsTwo:
+    """Each bad input ends the CLI with status 2 and a message naming the
+    field, with no traceback and no run on garbage.
+    """
+
+    def run_cli(self, tmp_path, capsys, args, config=None):
+        from firescout import cli
+        if config is not None:
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(config))
+            args = [*args, "--config", str(path)]
+        args = [*args, "--out", str(tmp_path / "out")]
+        try:
+            code = cli.main(args)
+        except SystemExit as e:
+            code = e.code
+        return code, capsys.readouterr()
+
+    def test_one_range_bin(self, tmp_path, capsys):
+        config = tiny_dict(observation={"n_range_bins": 1, "n_angle_bins": 4,
+                                        "max_range_m": 100.0})
+        code, out = self.run_cli(tmp_path, capsys, ["evaluate", "--episodes", "2"], config)
+        assert code == 2
+        assert "observation.n_range_bins" in out.err
+        assert "Traceback" not in out.err
+
+    @pytest.mark.parametrize("cell", [0.0, -10.0, float("nan"), float("inf")])
+    def test_cell_size_not_positive_and_finite(self, tmp_path, capsys, cell):
+        config = tiny_dict(grid={"width_cells": 10, "height_cells": 10, "cell_size_m": cell})
+        code, out = self.run_cli(tmp_path, capsys, ["evaluate", "--episodes", "2"], config)
+        assert code == 2
+        assert "grid.cell_size_m" in out.err
+        assert "mean" not in out.out
+
+    @pytest.mark.parametrize("command", ["baseline", "evaluate"])
+    def test_suite_of_one_episode(self, tmp_path, capsys, command):
+        code, out = self.run_cli(tmp_path, capsys, [command, "--episodes", "1"], tiny_dict())
+        assert code == 2
+        assert "episodes" in out.err
+        assert "Traceback" not in out.err

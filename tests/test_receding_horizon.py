@@ -2,17 +2,22 @@
 
 rollout_score is checked against a step-by-step replay using the scalar
 reward functions; the small-horizon optimizer is checked against
-exhaustive enumeration of all 2^T sequences.
+exhaustive enumeration of all 2^T sequences. The batched planner is
+checked against the scalar descent it replaced, kept here as an oracle:
+plans and scores must be identical, not merely close.
 """
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from firescout.aircraft import Action, AircraftState, apply_action, integrate
+from firescout.env import SurveillanceSim
 from firescout.fire import FireGrid
+from firescout.harness import desk_scenario
 from firescout.receding_horizon import (
     RHConfig,
     RHController,
@@ -27,7 +32,7 @@ from firescout.rewards import (
     fire_distance_penalty,
     proximity_penalty,
 )
-from firescout.sensing import build_range_bins, render_observation
+from firescout.sensing import build_range_bins, render_observation, sample_polar
 
 W = RewardWeights()
 
@@ -222,3 +227,180 @@ class TestRhStep:
         rh_step(ctrl, grid, state, [], self.CFG, rng)
         rh_step(ctrl, grid, state, [], self.CFG, rng)
         assert len(ctrl.pending) == 0
+
+
+# -- scalar oracle -------------------------------------------------------------
+# The planner before candidates were batched: every candidate tail is
+# flown one integrate call at a time and scored with its own polar
+# sampling. Plans and scores of optimize_trajectory must equal these
+# exactly.
+
+def oracle_trajectory(start, actions, dt):
+    states = []
+    state = start
+    for a in actions:
+        state = integrate(apply_action(state, a), dt)
+        states.append(state)
+    return states
+
+
+def oracle_rewards(grid, states, peers, w, bins, n_angle_bins):
+    n = len(states)
+    if n == 0:
+        return np.zeros(0)
+    xs = np.array([s.x for s in states])
+    ys = np.array([s.y for s in states])
+    psis = np.array([s.psi for s in states])
+    phis = np.array([s.phi for s in states])
+    sector = 2.0 * np.pi / n_angle_bins
+    bearings = psis[:, None] + (np.arange(n_angle_bins) + 0.5)[None, :] * sector
+    radii = bins.centers
+    px = xs[:, None, None] + radii[None, :, None] * np.cos(bearings)[:, None, :]
+    py = ys[:, None, None] + radii[None, :, None] * np.sin(bearings)[:, None, :]
+    ix = np.floor(px / grid.cell_size).astype(np.int64)
+    iy = np.floor(py / grid.cell_size).astype(np.int64)
+    inside = (ix >= 0) & (ix < grid.width) & (iy >= 0) & (iy < grid.height)
+    values = np.zeros((n, bins.n_bins, n_angle_bins), dtype=bool)
+    values[inside] = grid.burning[iy[inside], ix[inside]]
+    burning_rows = values.any(axis=2)
+    nearest = np.where(burning_rows, radii[None, :], np.inf).min(axis=1)
+    r1 = -w.lambda1 * np.where(np.isinf(nearest), bins.max_range, nearest)
+    near_rows = radii < w.r0
+    r2 = -w.lambda2 * (~values[:, near_rows, :]).sum(axis=(1, 2))
+    r3 = -w.lambda3 * phis * phis
+    total = r1 + r2 + r3
+    for p in peers:
+        rho = np.hypot(xs - p.x, ys - p.y)
+        total = total - w.lambda4 * np.exp(-rho / w.c)
+    return total
+
+
+def oracle_descend(grid, start, actions, peers, w, bins, n_angle_bins, dt):
+    states = oracle_trajectory(start, actions, dt)
+    rewards = oracle_rewards(grid, states, peers, w, bins, n_angle_bins)
+    score = float(rewards.sum())
+    improved = True
+    while improved:
+        improved = False
+        for pos in range(len(actions)):
+            tail_start = states[pos - 1] if pos > 0 else start
+            tail_actions = [Action(1 - int(actions[pos]))] + actions[pos + 1:]
+            tail_states = oracle_trajectory(tail_start, tail_actions, dt)
+            tail_rewards = oracle_rewards(grid, tail_states, peers, w, bins,
+                                          n_angle_bins)
+            cand_rewards = np.concatenate([rewards[:pos], tail_rewards])
+            cand = float(cand_rewards.sum())
+            if cand > score:
+                actions = actions[:pos] + tail_actions
+                states = states[:pos] + tail_states
+                rewards = cand_rewards
+                score = cand
+                improved = True
+    return actions, score
+
+
+def oracle_optimize(grid, start, peers, cfg, rng):
+    bins = cfg.bins()
+    best_actions, best_score = None, -np.inf
+    for _ in range(cfg.restarts):
+        init = [Action(int(a)) for a in rng.integers(2, size=cfg.horizon_steps)]
+        actions, score = oracle_descend(grid, start, init, peers, cfg.weights, bins,
+                                        cfg.n_angle_bins, cfg.dt)
+        if score > best_score:
+            best_actions, best_score = actions, score
+    return best_actions, float(best_score)
+
+
+DESK_RH = desk_scenario().rh
+TINY_RH = RHConfig(horizon_steps=8, execute_steps=3, restarts=2,
+                   n_range_bins=6, n_angle_bins=6, max_range_m=150.0)
+TURN_RH = RHConfig(horizon_steps=20, execute_steps=5, restarts=3,
+                   n_range_bins=8, n_angle_bins=6, max_range_m=200.0)
+N_ORACLE_SCENES = 60
+
+
+def oracle_scene(k):
+    """Scene k of five kinds: a desk episode with its peer under the desk
+    planner; a random start bank with two peers; a turn through +/-pi;
+    zero bank and an axis heading, starting off the grid; an unwrapped
+    heading with a start bank past the limit.
+    """
+    rng = np.random.default_rng(7000 + k)
+    kind = k % 5
+    if kind == 0:
+        sc = desk_scenario()
+        sim = SurveillanceSim(sc.sim)
+        sim.reset(rng)
+        for _ in range(int(rng.integers(0, 80))):
+            sim.step([Action(int(a)) for a in rng.integers(2, size=2)], rng)
+        return sim.grid, sim.aircraft[0], sim.aircraft[1:], DESK_RH, rng
+    grid, state, _ = scene(int(rng.integers(1 << 20)), burn_frac=0.12)
+    peers = [AircraftState(x=float(rng.uniform(0, 300)), y=float(rng.uniform(0, 300)))
+             for _ in range(2)]
+    if kind == 1:
+        start = replace(state, phi=float(rng.uniform(-0.5, 0.5)))
+        return grid, start, peers, TINY_RH, rng
+    if kind == 2:
+        psi = math.pi - float(rng.uniform(0.0, 0.05))
+        start = replace(state, psi=psi if k % 2 else -psi,
+                        phi=float(rng.choice([-1, 1])) * math.radians(45.0))
+        return grid, start, [], TURN_RH, rng
+    if kind == 3:
+        start = AircraftState(x=float(rng.choice([-40.0, 340.0])),
+                              y=float(rng.uniform(-60.0, 360.0)),
+                              psi=float(rng.choice([0.0, math.pi, -math.pi / 2])),
+                              phi=0.0)
+        return grid, start, peers[:1], TURN_RH, rng
+    start = replace(state, psi=float(rng.uniform(3.5, 9.0)) * float(rng.choice([-1, 1])),
+                    phi=float(rng.choice([-1.0, 1.0])))
+    return grid, start, peers, TINY_RH, rng
+
+
+class TestScalarOracle:
+    @pytest.mark.parametrize("k", range(N_ORACLE_SCENES))
+    def test_plan_and_score_identical(self, k):
+        grid, start, peers, cfg, rng = oracle_scene(k)
+        seed = int(rng.integers(1 << 30))
+        want_plan, want_score = oracle_optimize(grid, start, peers, cfg,
+                                                np.random.default_rng(seed))
+        plan, score = optimize_trajectory(grid, start, peers, cfg,
+                                          np.random.default_rng(seed))
+        assert plan == want_plan
+        assert score == want_score
+
+    @pytest.mark.parametrize("k", range(0, N_ORACLE_SCENES, 3))
+    def test_rollout_score_identical(self, k):
+        grid, start, peers, cfg, rng = oracle_scene(k)
+        actions = [Action(int(a)) for a in rng.integers(2, size=cfg.horizon_steps)]
+        bins = cfg.bins()
+        want = float(oracle_rewards(grid, oracle_trajectory(start, actions, cfg.dt),
+                                    peers, cfg.weights, bins, cfg.n_angle_bins).sum())
+        assert rollout_score(grid, start, actions, peers, cfg.weights, bins,
+                             cfg.n_angle_bins, cfg.dt) == want
+
+    def test_draws_restart_starts_in_order(self):
+        """Only the restarts' initial sequences come from rng."""
+        grid, start, peers, cfg, _ = oracle_scene(1)
+        rng = np.random.default_rng(5)
+        optimize_trajectory(grid, start, peers, cfg, rng)
+        twin = np.random.default_rng(5)
+        for _ in range(cfg.restarts):
+            twin.integers(2, size=cfg.horizon_steps)
+        assert rng.integers(1 << 62) == twin.integers(1 << 62)
+
+
+def test_sample_polar_rows_equal_render_observation():
+    rng = np.random.default_rng(17)
+    for n_range, n_angle, size, cell in ((10, 8, 20, 50.0), (40, 30, 100, 10.0), (6, 5, 7, 30.0)):
+        grid = FireGrid(fuel=np.full((size, size), 15.0),
+                        burning=rng.random((size, size)) < 0.3, cell_size=cell)
+        bins = build_range_bins(n_range, 500.0)
+        extent = size * cell
+        xs = rng.uniform(-0.5 * extent, 1.5 * extent, 40)
+        ys = rng.uniform(-0.5 * extent, 1.5 * extent, 40)
+        psis = rng.uniform(-4.0, 4.0, 40)
+        values = sample_polar(grid, xs, ys, psis, bins, n_angle)
+        assert values.shape == (40, n_range, n_angle)
+        for x, y, psi, row in zip(xs, ys, psis, values):
+            obs = render_observation(grid, AircraftState(x, y, psi), bins, n_angle)
+            assert np.array_equal(obs.values, row)
