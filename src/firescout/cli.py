@@ -17,7 +17,8 @@ import numpy as np
 from .dqn import run_training, write_curve_csv
 from .harness import PROFILES, Scenario, ScenarioError, profile_net_config, \
     profile_scenario, profile_training_config, load_scenario, render_record, \
-    run_episode, run_suite, save_scenario, write_episode_csv
+    run_episode, run_suite, save_scenario, scenario_from_dict, scenario_to_dict, \
+    write_episode_csv
 from .nn import save_weights
 
 
@@ -65,13 +66,18 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _override(sc: Scenario, **fields) -> Scenario:
+    """sc with scenario-file fields replaced, checked as a file's would be."""
+    return scenario_from_dict({**scenario_to_dict(sc), **fields})
+
+
 def _resolve_scenario(args) -> Scenario:
     if args.config:
         sc = load_scenario(args.config)
     else:
         sc = profile_scenario(args.profile)
     if args.seed is not None:
-        sc = replace(sc, seed=args.seed)
+        sc = _override(sc, rng_seed=args.seed)
     return sc
 
 
@@ -128,7 +134,7 @@ def cmd_baseline(args) -> int:
 def cmd_render(args) -> int:
     sc = _resolve_scenario(args)
     if args.snapshot_every is not None:
-        sc = replace(sc, snapshot_every_steps=args.snapshot_every)
+        sc = _override(sc, snapshot_every_steps=args.snapshot_every)
     out = _out_dir(args)
     record = run_episode(sc)
     write_episode_csv(os.path.join(out, "episode.csv"), record)

@@ -131,17 +131,6 @@ def epsilon(iteration: int, cfg: TrainingConfig) -> float:
     return cfg.epsilon_start + (cfg.epsilon_end - cfg.epsilon_start) * frac
 
 
-def select_action(net: QNetwork, state, eps: float, rng: np.random.Generator) -> Action:
-    """Epsilon-greedy over the two bank actions; Q-ties resolve to action 0."""
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError("eps must lie in [0, 1]")
-    if eps > 0.0 and rng.random() < eps:
-        return Action(int(rng.integers(2)))
-    image, cont = state
-    q = net.forward(image, cont)
-    return Action(int(np.argmax(q)))
-
-
 def select_action_multi(net: QNetwork, image: np.ndarray,
                         peer_conts: list[np.ndarray]) -> Action:
     """Greedy action maximizing the summed pairwise Q-values.
@@ -154,15 +143,6 @@ def select_action_multi(net: QNetwork, image: np.ndarray,
     images = np.repeat(np.asarray(image)[None, ...], len(peer_conts), axis=0)
     q = net.forward_batch(images, np.asarray(peer_conts))
     return Action(int(np.argmax(q.sum(axis=0))))
-
-
-def bellman_target(reward: float, next_state, terminal: bool,
-                   target_net: QNetwork, gamma: float) -> float:
-    if terminal:
-        return float(reward)
-    image, cont = next_state
-    q = target_net.forward(image, cont)
-    return float(reward + gamma * float(q.max()))
 
 
 class Trainer:

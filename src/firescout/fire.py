@@ -185,33 +185,13 @@ def _offset_probabilities(params: PropagationParams, wind: Wind) -> list[tuple[i
     return out
 
 
-def ignition_probability(grid: FireGrid, params: PropagationParams, wind: Wind,
-                         cell: tuple[int, int]) -> float:
-    """Probability that cell catches fire on the next step.
+def ignition_probability_map(grid: FireGrid, params: PropagationParams,
+                             wind: Wind) -> np.ndarray:
+    """Probability that each cell catches fire on the next step.
 
     Zero for cells that are already burning or out of fuel. Otherwise each
     burning neighbor within the offset cutoff contributes an independent
-    chance, combined as 1 - prod(1 - p_neighbor).
-    """
-    ix, iy = cell
-    if not (0 <= ix < grid.width and 0 <= iy < grid.height):
-        raise ValueError(f"cell ({ix}, {iy}) outside {grid.width}x{grid.height} grid")
-    if grid.burning[iy, ix] or grid.fuel[iy, ix] <= 0:
-        return 0.0
-    survive = 1.0
-    for dx, dy, p in _offset_probabilities(params, wind):
-        nx, ny = ix + dx, iy + dy
-        if 0 <= nx < grid.width and 0 <= ny < grid.height and grid.burning[ny, nx]:
-            survive *= 1.0 - p
-    return 1.0 - survive
-
-
-def ignition_probability_map(grid: FireGrid, params: PropagationParams,
-                             wind: Wind) -> np.ndarray:
-    """Vectorized ignition probability for every cell at once.
-
-    Matches ignition_probability cell by cell; used by step_fire so one
-    update is a single pass over the grid.
+    chance, combined as 1 - prod(1 - p_neighbor); one pass over the grid.
     """
     h, w = grid.fuel.shape
     m = params.max_offset
@@ -257,14 +237,6 @@ def pre_grow(grid: FireGrid, seconds: float, params: PropagationParams,
     for _ in range(int(seconds // params.step_duration)):
         grid = step_fire(grid, params, wind, rng)
     return grid
-
-
-def fuel_channel_u8(grid: FireGrid) -> np.ndarray:
-    """Fuel scaled into 0-255 (relative to the grid's current maximum)."""
-    peak = float(grid.fuel.max())
-    if peak <= 0:
-        return np.zeros(grid.fuel.shape, dtype=np.uint8)
-    return np.rint(grid.fuel * (255.0 / peak)).astype(np.uint8)
 
 
 def burning_channel_u8(grid: FireGrid) -> np.ndarray:

@@ -14,9 +14,12 @@ whatever quantity the flying controller itself optimizes.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import os
-from dataclasses import dataclass, replace
+import sys
+from dataclasses import MISSING, astuple, dataclass, fields, replace
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -24,12 +27,11 @@ from .aircraft import Action, AircraftState
 from .dqn import TrainingConfig, _greedy_actions, mean_stderr, \
     select_action_multi  # noqa: F401 (the benchmark's tracer wraps it here)
 from .env import BELIEF, OBSERVATION, SimConfig, SurveillanceSim
-from .fire import ArcSeed, CircularSeed, FireGrid, PropagationParams, \
-    SeedPattern, TShapeSeed, Wind, burning_channel_u8
+from .fire import ArcSeed, CircularSeed, FireGrid, SeedPattern, TShapeSeed, \
+    _seed_cells, burning_channel_u8
 from .nn import NetworkConfig, QNetwork, load_weights
 from .pgm import write_pgm
 from .receding_horizon import RHConfig, RHController, rh_step
-from .rewards import RewardWeights
 from .sensing import BeliefMap, belief_channels_u8
 
 CONTROLLERS = ("observation-net", "belief-net", "receding-horizon", "random")
@@ -52,236 +54,187 @@ class Scenario:
 
 # -- parsing ----------------------------------------------------------------
 
-_MISSING = object()
+# JSON name -> (attribute path in Scenario, valid values). Types and
+# defaults come from the dataclass fields at the end of each path. Valid
+# values are an interval, whose ends may name an earlier field, or a
+# tuple of choices; intervals also reject NaN and infinities.
+_FIELDS = {
+    "grid.width_cells": ("sim.grid_width", "[1, inf)"),
+    "grid.height_cells": ("sim.grid_height", "[1, inf)"),
+    "grid.cell_size_m": ("sim.cell_size_m", "(0, inf)"),
+    "grid.fuel_min_steps": ("sim.fuel_min", "[0, inf)"),
+    "grid.fuel_max_steps": ("sim.fuel_max", "[grid.fuel_min_steps, inf)"),
+    "wind.direction_rad": ("sim.wind.direction", "(-inf, inf)"),
+    "wind.strength": ("sim.wind.strength", "[0, inf)"),
+    "propagation.burn_rate_fuel_per_step": ("sim.propagation.beta", "(0, inf)"),
+    "propagation.ignition_alpha": ("sim.propagation.alpha", "(0, 1]"),
+    "propagation.max_offset_cells": ("sim.propagation.max_offset", "[0, inf)"),
+    "propagation.step_seconds": ("sim.propagation.step_duration", "(0, inf)"),
+    "aircraft_count": ("sim.n_aircraft", "[1, inf)"),
+    "pregrow_seconds": ("sim.pregrow_seconds", "[0, inf)"),
+    "horizon_seconds": ("sim.horizon_seconds", "(0, inf)"),
+    "observation.n_range_bins": ("sim.n_range_bins", "[2, inf)"),
+    "observation.n_angle_bins": ("sim.n_angle_bins", "[1, inf)"),
+    "observation.max_range_m": ("sim.max_range_m", "(0, inf)"),
+    "reward_weights.lambda1": ("sim.weights.lambda1", "[0, inf)"),
+    "reward_weights.lambda2": ("sim.weights.lambda2", "[0, inf)"),
+    "reward_weights.lambda3": ("sim.weights.lambda3", "[0, inf)"),
+    "reward_weights.lambda4": ("sim.weights.lambda4", "[0, inf)"),
+    "reward_weights.r0_m": ("sim.weights.r0", "(0, inf)"),
+    "reward_weights.c_m": ("sim.weights.c", "(0, inf)"),
+    "reward_weights.lambda_prox_belief": ("sim.weights.lambda_prox_belief", "[0, inf)"),
+    "reward_weights.discovery_reward": ("sim.weights.discovery_reward", "[0, inf)"),
+    "rho_scale_m": ("sim.rho_scale", "(0, inf)"),
+    "controller": ("controller", CONTROLLERS),
+    "weights_path": ("weights_path", None),
+    "receding_horizon.horizon_steps": ("rh.horizon_steps", "[2, inf)"),
+    "receding_horizon.execute_steps": ("rh.execute_steps",
+                                       "[1, receding_horizon.horizon_steps)"),
+    "receding_horizon.restarts": ("rh.restarts", "[1, inf)"),
+    "rng_seed": ("seed", "[0, inf)"),
+    "snapshot_every_steps": ("snapshot_every_steps", "[1, inf)"),
+}
+_SECTIONS = {name.split(".")[0] for name in _FIELDS if "." in name}
+# RHConfig's sensor fields and weights are copies of the SimConfig ones.
+_RH_COPIES = ("weights", "n_range_bins", "n_angle_bins", "max_range_m")
+# Seed pattern kind -> (class, JSON name of its size field).
+_SEEDS = {"none": (type(None), None), "circular": (CircularSeed, "radius_cells"),
+          "t_shape": (TShapeSeed, "arm_cells"), "arc": (ArcSeed, "radius_cells")}
+_POSE = {"x_m": "x", "y_m": "y", "psi_rad": "psi", "phi_rad": "phi"}
+_hints = functools.cache(get_type_hints)
 
 
-def _take(d: dict, key: str, path: str, default=_MISSING):
-    if key in d:
-        return d.pop(key)
-    if default is _MISSING:
-        raise ScenarioError(f"missing required field {path}{key}")
-    return default
+def _type_and_default(cls, attr: str):
+    *owners, leaf = attr.split(".")
+    for owner in owners:
+        cls = _hints(cls)[owner]
+    return _hints(cls)[leaf], {f.name: f.default for f in fields(cls)}[leaf]
 
 
-def _no_extra(d: dict, path: str) -> None:
-    if d:
-        raise ScenarioError(f"unknown field {path}{next(iter(d))}")
-
-
-def _parse_seed_pattern(sp, path: str) -> SeedPattern | None:
-    if sp is None:
+def _check(name: str, value, hint, valid, seen: dict):
+    """value as hint's type (ints that fit widen to float) inside valid, else ScenarioError."""
+    types = get_args(hint) or (hint,)
+    if value is None and type(None) in types:
         return None
-    sp = dict(sp)
-    kind = _take(sp, "kind", path)
-    if kind == "none":
-        _no_extra(sp, path)
+    if float in types and type(value) is int and abs(value) <= sys.float_info.max:
+        value = float(value)
+    if type(value) not in types:
+        raise ScenarioError(f"{name}: expected {types[0].__name__}, got {value!r}")
+    if isinstance(valid, tuple) and value not in valid:
+        raise ScenarioError(f"{name}: expected one of {', '.join(valid)}, got {value!r}")
+    if isinstance(valid, str):
+        lo, hi = (seen[end] if end in seen else float(end) for end in valid[1:-1].split(", "))
+        if not ((lo < value if valid[0] == "(" else lo <= value)
+                and (value < hi if valid[-1] == ")" else value <= hi)):
+            raise ScenarioError(f"{name}: must lie in {valid}, got {value!r}")
+    return value
+
+
+def _object(name: str, value) -> dict:
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{name}: expected an object, got {value!r}")
+    return value
+
+
+def _seed_pattern(sp, width: int, height: int) -> SeedPattern | None:
+    if sp is MISSING:  # the one default that is no dataclass default
+        sp = {"kind": "circular", "center_cell": [width // 2, height // 2], "radius_cells": 2}
+    kind = _object("seed_pattern", sp).get("kind")
+    if kind not in _SEEDS:
+        raise ScenarioError(f"seed_pattern.kind: expected one of {', '.join(_SEEDS)}, "
+                            f"got {kind!r}")
+    cls, size = _SEEDS[kind]
+    expected = {"kind", "center_cell", size} if size else {"kind"}
+    if set(sp) != expected:
+        raise ScenarioError(f"seed_pattern: a {kind} seed has the fields "
+                            f"{', '.join(sorted(expected))}, got {', '.join(sp)}")
+    if size is None:
         return None
-    center = tuple(int(v) for v in _take(sp, "center_cell", path))
-    if len(center) != 2:
-        raise ScenarioError(f"{path}center_cell must be [ix, iy]")
-    if kind == "circular":
-        out = CircularSeed(center=center, radius=int(_take(sp, "radius_cells", path)))
-    elif kind == "t_shape":
-        out = TShapeSeed(center=center, arm=int(_take(sp, "arm_cells", path)))
-    elif kind == "arc":
-        out = ArcSeed(center=center, radius=int(_take(sp, "radius_cells", path)))
-    else:
-        raise ScenarioError(f"{path}kind: unknown seed pattern {kind!r}")
-    _no_extra(sp, path)
-    return out
+    center = sp["center_cell"]
+    if not isinstance(center, list) or len(center) != 2:
+        raise ScenarioError(f"seed_pattern.center_cell: expected [ix, iy], got {center!r}")
+    pattern = cls(
+        tuple(_check("seed_pattern.center_cell", v, int, None, {}) for v in center),
+        _check(f"seed_pattern.{size}", sp[size], int, f"[0, {min(width, height)})", {}))
+    off = [c for c in _seed_cells(pattern) if not (0 <= c[0] < width and 0 <= c[1] < height)]
+    if off:
+        raise ScenarioError(f"seed_pattern.center_cell: the {kind} seed reaches cell "
+                            f"{off[0]}, off the {width}x{height} grid")
+    return pattern
 
 
-def _seed_pattern_dict(p: SeedPattern | None) -> dict:
-    if p is None:
-        return {"kind": "none"}
-    if isinstance(p, CircularSeed):
-        return {"kind": "circular", "center_cell": list(p.center), "radius_cells": p.radius}
-    if isinstance(p, TShapeSeed):
-        return {"kind": "t_shape", "center_cell": list(p.center), "arm_cells": p.arm}
-    if isinstance(p, ArcSeed):
-        return {"kind": "arc", "center_cell": list(p.center), "radius_cells": p.radius}
-    raise TypeError(f"unknown seed pattern {p!r}")
+def _spawn_poses(raw, n_aircraft: int) -> tuple[AircraftState, ...] | None:
+    if raw is None:
+        return None
+    if not isinstance(raw, list) or len(raw) != n_aircraft:
+        raise ScenarioError(f"spawn_poses: expected a list of {n_aircraft} poses, got {raw!r}")
+    poses = []
+    for i, pose in enumerate(raw):
+        name = f"spawn_poses[{i}]"
+        for key in _object(name, pose):
+            if key not in _POSE:
+                raise ScenarioError(f"unknown field {name}.{key}")
+        kw = {}
+        for key, attr in _POSE.items():
+            hint, default = _type_and_default(AircraftState, attr)
+            if key not in pose and default is MISSING:
+                raise ScenarioError(f"missing required field {name}.{key}")
+            kw[attr] = _check(f"{name}.{key}", pose.get(key, default), hint, "(-inf, inf)", {})
+        poses.append(AircraftState(**kw))
+    return tuple(poses)
+
+
+def _build(cls, values: dict):
+    return cls(**{k: _build(_hints(cls)[k], v) if isinstance(v, dict) else v
+                  for k, v in values.items()})
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    d = dict(data)
-
-    grid = dict(_take(d, "grid", "", {}))
-    width = int(_take(grid, "width_cells", "grid.", 100))
-    height = int(_take(grid, "height_cells", "grid.", 100))
-    cell_size = float(_take(grid, "cell_size_m", "grid.", 10.0))
-    if not 0.0 < cell_size < float("inf"):
-        raise ScenarioError(f"grid.cell_size_m: must be positive and finite, got {cell_size}")
-    fuel_min = float(_take(grid, "fuel_min_steps", "grid.", 15.0))
-    fuel_max = float(_take(grid, "fuel_max_steps", "grid.", 20.0))
-    _no_extra(grid, "grid.")
-
-    default_seed = {"kind": "circular",
-                    "center_cell": [width // 2, height // 2],
-                    "radius_cells": 2}
-    pattern = _parse_seed_pattern(_take(d, "seed_pattern", "", default_seed),
-                                  "seed_pattern.")
-
-    wind = dict(_take(d, "wind", "", {}))
-    wind_obj = Wind(direction=float(_take(wind, "direction_rad", "wind.", 0.0)),
-                    strength=float(_take(wind, "strength", "wind.", 0.0)))
-    _no_extra(wind, "wind.")
-
-    prop = dict(_take(d, "propagation", "", {}))
-    try:
-        prop_obj = PropagationParams(
-            beta=float(_take(prop, "burn_rate_fuel_per_step", "propagation.", 1.0)),
-            alpha=float(_take(prop, "ignition_alpha", "propagation.", 0.09)),
-            max_offset=int(_take(prop, "max_offset_cells", "propagation.", 2)),
-            step_duration=float(_take(prop, "step_seconds", "propagation.", 2.5)))
-    except ValueError as e:
-        raise ScenarioError(f"propagation: {e}") from e
-    _no_extra(prop, "propagation.")
-
-    n_aircraft = int(_take(d, "aircraft_count", "", 2))
-    raw_poses = _take(d, "spawn_poses", "", None)
-    poses = None
-    if raw_poses is not None:
-        poses = []
-        for i, rp in enumerate(raw_poses):
-            rp = dict(rp)
-            path = f"spawn_poses[{i}]."
-            poses.append(AircraftState(
-                x=float(_take(rp, "x_m", path)),
-                y=float(_take(rp, "y_m", path)),
-                psi=float(_take(rp, "psi_rad", path, 0.0)),
-                phi=float(_take(rp, "phi_rad", path, 0.0))))
-            _no_extra(rp, path)
-        poses = tuple(poses)
-
-    pregrow = float(_take(d, "pregrow_seconds", "", 30.0))
-    horizon = float(_take(d, "horizon_seconds", "", 100.0))
-
-    obs = dict(_take(d, "observation", "", {}))
-    n_range = int(_take(obs, "n_range_bins", "observation.", 40))
-    if n_range < 2:
-        raise ScenarioError(f"observation.n_range_bins: need at least 2, got {n_range}")
-    n_angle = int(_take(obs, "n_angle_bins", "observation.", 30))
-    max_range = float(_take(obs, "max_range_m", "observation.", 500.0))
-    _no_extra(obs, "observation.")
-
-    rw = dict(_take(d, "reward_weights", "", {}))
-    try:
-        weights = RewardWeights(
-            lambda1=float(_take(rw, "lambda1", "reward_weights.", 0.02)),
-            lambda2=float(_take(rw, "lambda2", "reward_weights.", 0.02)),
-            lambda3=float(_take(rw, "lambda3", "reward_weights.", 0.5)),
-            lambda4=float(_take(rw, "lambda4", "reward_weights.", 2.0)),
-            r0=float(_take(rw, "r0_m", "reward_weights.", 60.0)),
-            c=float(_take(rw, "c_m", "reward_weights.", 100.0)),
-            lambda_prox_belief=float(_take(rw, "lambda_prox_belief",
-                                           "reward_weights.", 0.1)),
-            discovery_reward=float(_take(rw, "discovery_reward",
-                                         "reward_weights.", 1.0)))
-    except ValueError as e:
-        raise ScenarioError(f"reward_weights: {e}") from e
-    _no_extra(rw, "reward_weights.")
-
-    rho_scale = float(_take(d, "rho_scale_m", "", 100.0))
-
-    controller = str(_take(d, "controller", "", "random"))
-    if controller not in CONTROLLERS:
-        raise ScenarioError(
-            f"controller: expected one of {', '.join(CONTROLLERS)}, got {controller!r}")
-    weights_path = _take(d, "weights_path", "", None)
-    if controller in NET_CONTROLLERS:
-        if weights_path is None:
-            raise ScenarioError(f"weights_path: required for controller {controller}")
-        if not os.path.exists(weights_path):
-            raise ScenarioError(f"weights_path: no such file {weights_path!r}")
-
-    rhd = dict(_take(d, "receding_horizon", "", {}))
-    try:
-        rh = RHConfig(
-            horizon_steps=int(_take(rhd, "horizon_steps", "receding_horizon.", 50)),
-            execute_steps=int(_take(rhd, "execute_steps", "receding_horizon.", 10)),
-            restarts=int(_take(rhd, "restarts", "receding_horizon.", 10)),
-            weights=weights, n_range_bins=n_range, n_angle_bins=n_angle,
-            max_range_m=max_range)
-    except ValueError as e:
-        raise ScenarioError(f"receding_horizon: {e}") from e
-    _no_extra(rhd, "receding_horizon.")
-
-    seed = int(_take(d, "rng_seed", "", 0))
-    snap = _take(d, "snapshot_every_steps", "", None)
-    snap = None if snap is None else int(snap)
-    _no_extra(d, "")
-
-    if n_aircraft < 1:
-        raise ScenarioError("aircraft_count: must be at least 1")
-    if horizon <= 0:
-        raise ScenarioError("horizon_seconds: must be positive")
-    try:
-        sim = SimConfig(
-            grid_width=width, grid_height=height, cell_size_m=cell_size,
-            fuel_min=fuel_min, fuel_max=fuel_max, seed_pattern=pattern,
-            wind=wind_obj, propagation=prop_obj, n_aircraft=n_aircraft,
-            spawn_poses=poses, pregrow_seconds=pregrow, horizon_seconds=horizon,
-            n_range_bins=n_range, n_angle_bins=n_angle, max_range_m=max_range,
-            weights=weights, rho_scale=rho_scale)
-    except ValueError as e:
-        raise ScenarioError(str(e)) from e
-    return Scenario(sim=sim, controller=controller, weights_path=weights_path,
-                    rh=rh, seed=seed, snapshot_every_steps=snap)
+    flat = {}
+    for key, value in data.items():
+        if key in _SECTIONS:
+            flat.update((f"{key}.{k}", v) for k, v in _object(key, value).items())
+        elif "." in key:
+            raise ScenarioError(f"unknown field {key}")
+        else:
+            flat[key] = value
+    for name in flat:
+        if name not in _FIELDS and name not in ("seed_pattern", "spawn_poses"):
+            raise ScenarioError(f"unknown field {name}")
+    seen, tree = {}, {}
+    for name, (attr, valid) in _FIELDS.items():
+        hint, default = _type_and_default(Scenario, attr)
+        seen[name] = _check(name, flat.get(name, default), hint, valid, seen)
+        *owners, leaf = attr.split(".")
+        functools.reduce(lambda node, o: node.setdefault(o, {}), owners, tree)[leaf] = seen[name]
+    controller, path = seen["controller"], seen["weights_path"]
+    if controller in NET_CONTROLLERS and not (path and os.path.exists(path)):
+        raise ScenarioError(f"weights_path: controller {controller} needs a weights file, "
+                            f"and there is none at {path!r}")
+    sim = tree["sim"]
+    sim["seed_pattern"] = _seed_pattern(flat.get("seed_pattern", MISSING),
+                                        sim["grid_width"], sim["grid_height"])
+    sim["spawn_poses"] = _spawn_poses(flat.get("spawn_poses"), sim["n_aircraft"])
+    tree["sim"] = sim = _build(SimConfig, sim)
+    tree["rh"].update((k, getattr(sim, k)) for k in _RH_COPIES)
+    return _build(Scenario, tree)
 
 
 def scenario_to_dict(sc: Scenario) -> dict:
-    sim = sc.sim
-    poses = None
-    if sim.spawn_poses is not None:
-        poses = [{"x_m": a.x, "y_m": a.y, "psi_rad": a.psi, "phi_rad": a.phi}
-                 for a in sim.spawn_poses]
-    return {
-        "grid": {
-            "width_cells": sim.grid_width,
-            "height_cells": sim.grid_height,
-            "cell_size_m": sim.cell_size_m,
-            "fuel_min_steps": sim.fuel_min,
-            "fuel_max_steps": sim.fuel_max,
-        },
-        "seed_pattern": _seed_pattern_dict(sim.seed_pattern),
-        "wind": {"direction_rad": sim.wind.direction, "strength": sim.wind.strength},
-        "propagation": {
-            "burn_rate_fuel_per_step": sim.propagation.beta,
-            "ignition_alpha": sim.propagation.alpha,
-            "max_offset_cells": sim.propagation.max_offset,
-            "step_seconds": sim.propagation.step_duration,
-        },
-        "aircraft_count": sim.n_aircraft,
-        "spawn_poses": poses,
-        "pregrow_seconds": sim.pregrow_seconds,
-        "horizon_seconds": sim.horizon_seconds,
-        "observation": {
-            "n_range_bins": sim.n_range_bins,
-            "n_angle_bins": sim.n_angle_bins,
-            "max_range_m": sim.max_range_m,
-        },
-        "reward_weights": {
-            "lambda1": sim.weights.lambda1,
-            "lambda2": sim.weights.lambda2,
-            "lambda3": sim.weights.lambda3,
-            "lambda4": sim.weights.lambda4,
-            "r0_m": sim.weights.r0,
-            "c_m": sim.weights.c,
-            "lambda_prox_belief": sim.weights.lambda_prox_belief,
-            "discovery_reward": sim.weights.discovery_reward,
-        },
-        "rho_scale_m": sim.rho_scale,
-        "controller": sc.controller,
-        "weights_path": sc.weights_path,
-        "receding_horizon": {
-            "horizon_steps": sc.rh.horizon_steps,
-            "execute_steps": sc.rh.execute_steps,
-            "restarts": sc.rh.restarts,
-        },
-        "rng_seed": sc.seed,
-        "snapshot_every_steps": sc.snapshot_every_steps,
-    }
+    out = {}
+    for name, (attr, _) in _FIELDS.items():
+        section, _, key = name.rpartition(".")
+        (out.setdefault(section, {}) if section else out)[key] = \
+            functools.reduce(getattr, attr.split("."), sc)
+    p = sc.sim.seed_pattern
+    kind, size = next((k, s) for k, (cls, s) in _SEEDS.items() if type(p) is cls)
+    out["seed_pattern"] = {"kind": kind}
+    if p is not None:
+        center, extent = astuple(p)
+        out["seed_pattern"].update({"center_cell": list(center), size: extent})
+    out["spawn_poses"] = None if sc.sim.spawn_poses is None else [
+        {key: getattr(a, attr) for key, attr in _POSE.items()} for a in sc.sim.spawn_poses]
+    return out
 
 
 def load_scenario(path) -> Scenario:
@@ -342,6 +295,15 @@ class _RHPolicy:
         return out
 
 
+def _load_net(path, controller: str) -> QNetwork:
+    if path is None:
+        raise ScenarioError(f"weights_path: required for {controller}")
+    try:
+        return load_weights(path)
+    except ValueError as e:
+        raise ScenarioError(f"weights_path: {e}") from e
+
+
 def _make_policy(sc: Scenario, net: QNetwork | None):
     if sc.controller == "random":
         return _RandomPolicy()
@@ -349,9 +311,7 @@ def _make_policy(sc: Scenario, net: QNetwork | None):
         return _RHPolicy(sc.rh)
     if sc.controller in NET_CONTROLLERS:
         if net is None:
-            if sc.weights_path is None:
-                raise ScenarioError(f"weights_path: required for {sc.controller}")
-            net = load_weights(sc.weights_path)
+            net = _load_net(sc.weights_path, sc.controller)
         approach = OBSERVATION if sc.controller == "observation-net" else BELIEF
         expected = sc.sim.image_shape(approach)
         if net.config.image_shape != expected:
@@ -485,9 +445,7 @@ def run_suite(sc: Scenario, episodes: int, controllers: list[str] | None = None,
         variant = replace(sc, controller=name)
         net = None
         if name in NET_CONTROLLERS:
-            if sc.weights_path is None:
-                raise ScenarioError(f"weights_path: required for {name}")
-            net = load_weights(sc.weights_path)
+            net = _load_net(sc.weights_path, name)
         scores = []
         for ep, child in enumerate(np.random.SeedSequence(sc.seed).spawn(episodes)):
             record = run_episode(variant, rng=np.random.default_rng(child), net=net)
@@ -524,15 +482,11 @@ def desk_scenario() -> Scenario:
     full-scale 10 m grid.
     """
     return scenario_from_dict({
-        "grid": {"width_cells": 20, "height_cells": 20, "cell_size_m": 50.0,
-                 "fuel_min_steps": 15.0, "fuel_max_steps": 20.0},
-        "seed_pattern": {"kind": "circular", "center_cell": [10, 10],
-                         "radius_cells": 2},
+        "grid": {"width_cells": 20, "height_cells": 20, "cell_size_m": 50.0},
         "propagation": {"ignition_alpha": 0.018},
         "pregrow_seconds": 20.0,
         "horizon_seconds": 60.0,
-        "observation": {"n_range_bins": 10, "n_angle_bins": 8,
-                        "max_range_m": 500.0},
+        "observation": {"n_range_bins": 10, "n_angle_bins": 8},
         "receding_horizon": {"horizon_steps": 60, "execute_steps": 15,
                              "restarts": 3},
     })

@@ -422,25 +422,44 @@ def save_weights(net: QNetwork, path) -> None:
 
 
 def load_weights(path) -> QNetwork:
-    """Rebuild a network from save_weights output; round-trips bit-exactly."""
+    """Rebuild a network from save_weights output; round-trips bit-exactly.
+
+    A short, overlong or garbled file raises ValueError naming path.
+    """
     with open(path, "rb") as f:
-        if f.read(4) != _MAGIC:
-            raise ValueError(f"{path}: not a weight file")
-        (version,) = struct.unpack("<I", f.read(4))
-        if version != _VERSION:
-            raise ValueError(f"{path}: unsupported weight format version {version}")
-        (header_len,) = struct.unpack("<I", f.read(4))
-        config = NetworkConfig.from_dict(json.loads(f.read(header_len).decode()))
+        blob = memoryview(f.read())
+    pos = 0
+
+    def take(n: int) -> memoryview:
+        nonlocal pos
+        if pos + n > len(blob):
+            raise ValueError(f"{path}: weight file ends after {len(blob)} bytes")
+        pos += n
+        return blob[pos - n:pos]
+
+    def u32s(n: int = 1) -> tuple[int, ...]:
+        return struct.unpack(f"<{n}I", take(4 * n))
+
+    if take(4) != _MAGIC:
+        raise ValueError(f"{path}: not a weight file")
+    (version,) = u32s()
+    if version != _VERSION:
+        raise ValueError(f"{path}: unsupported weight format version {version}")
+    header = take(*u32s())
+    try:
+        config = NetworkConfig.from_dict(json.loads(bytes(header).decode()))
         net = QNetwork(config, rng=np.random.default_rng(0), dtype=np.float32)
-        params = net.parameters()
-        (count,) = struct.unpack("<I", f.read(4))
-        if count != len(params):
-            raise ValueError(f"{path}: expected {len(params)} parameter arrays, found {count}")
-        for p in params:
-            (ndim,) = struct.unpack("<I", f.read(4))
-            shape = struct.unpack(f"<{ndim}I", f.read(4 * ndim))
-            if shape != p.shape:
-                raise ValueError(f"{path}: parameter shape {shape} does not match {p.shape}")
-            data = np.frombuffer(f.read(4 * int(np.prod(shape))), dtype="<f4")
-            p[...] = data.reshape(shape)
+    except (ValueError, TypeError, KeyError) as e:
+        raise ValueError(f"{path}: bad architecture header ({e})") from e
+    params = net.parameters()
+    (count,) = u32s()
+    if count != len(params):
+        raise ValueError(f"{path}: expected {len(params)} parameter arrays, found {count}")
+    for p in params:
+        shape = u32s(*u32s())
+        if shape != p.shape:
+            raise ValueError(f"{path}: parameter shape {shape} does not match {p.shape}")
+        p[...] = np.frombuffer(take(4 * p.size), dtype="<f4").reshape(shape)
+    if pos != len(blob):
+        raise ValueError(f"{path}: {len(blob) - pos} bytes after the last parameter")
     return net

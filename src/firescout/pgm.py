@@ -1,4 +1,4 @@
-"""Plain-text (P2) PGM read/write for grid snapshots.
+"""Plain-text (P2) PGM writer for grid snapshots.
 
 Images are written north-up: array row ``h-1`` (largest y) becomes the top
 image row. Output is deterministic: fixed header, one image row per line.
@@ -24,19 +24,3 @@ def write_pgm(path, values: np.ndarray) -> None:
         lines.append(" ".join(str(int(v)) for v in row))
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
-
-
-def read_pgm(path) -> np.ndarray:
-    """Read a plain PGM back into the array orientation write_pgm uses."""
-    with open(path) as f:
-        tokens = []
-        for line in f:
-            body = line.split("#", 1)[0]
-            tokens.extend(body.split())
-    if not tokens or tokens[0] != "P2":
-        raise ValueError(f"{path}: not a plain (P2) PGM file")
-    w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    if maxval != 255:
-        raise ValueError(f"{path}: expected maxval 255, got {maxval}")
-    data = np.array(tokens[4:4 + w * h], dtype=np.uint8).reshape(h, w)
-    return data[::-1]

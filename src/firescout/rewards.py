@@ -10,7 +10,7 @@ aircraft. The belief reward pays for newly discovered burning cells
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 from .aircraft import RelativeGeometry
 from .sensing import PolarObservation, RangeBins
@@ -37,9 +37,6 @@ class RewardWeights:
                 raise ValueError(f"{name} must be non-negative")
         if self.r0 <= 0 or self.c <= 0:
             raise ValueError("r0 and c must be positive")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def fire_distance_penalty(obs: PolarObservation, bins: RangeBins, w: RewardWeights) -> float:
@@ -70,15 +67,6 @@ def proximity_penalty(rho: float, w: RewardWeights, weight: float | None = None)
     if weight is None:
         weight = w.lambda4
     return -weight * math.exp(-rho / w.c)
-
-
-def observation_reward(obs: PolarObservation, bins: RangeBins,
-                       geom: RelativeGeometry, w: RewardWeights) -> float:
-    """Sum of the four observation-approach penalties (always <= 0)."""
-    return (fire_distance_penalty(obs, bins, w)
-            + cold_cells_penalty(obs, bins, w)
-            + bank_penalty(geom.phi_own, w)
-            + proximity_penalty(geom.rho, w))
 
 
 def belief_reward(discovered: int, geoms: list[RelativeGeometry],

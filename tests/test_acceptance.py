@@ -24,7 +24,6 @@ from firescout.dqn import (
     evaluate_policy,
     evaluate_random,
     run_training,
-    select_action,
     select_action_multi,
 )
 from firescout.env import SimConfig, SurveillanceSim
@@ -438,7 +437,7 @@ def test_11_multi_aircraft_selection_equals_pairwise_greedy():
         image = rng.random((8, 8, 2), dtype=np.float32)
         cont = rng.standard_normal(5).astype(np.float32)
         multi = select_action_multi(net, image, [cont])
-        single = select_action(net, (image, cont), 0.0, rng)
+        single = Action(int(np.argmax(net.forward(image, cont))))
         assert multi == single
 
 

@@ -21,13 +21,11 @@ from firescout.dqn import (
     Trainer,
     TrainingConfig,
     Transition,
-    bellman_target,
     epsilon,
     evaluate_policy,
     evaluate_random,
     mean_stderr,
     run_training,
-    select_action,
     select_action_multi,
     write_curve_csv,
 )
@@ -36,6 +34,26 @@ from firescout.fire import CircularSeed
 from firescout.nn import AdaMax, NetworkConfig, QNetwork
 
 TINY_IMAGE = (1, 1, 1)
+
+
+def select_action(net, state, eps, rng):
+    """Epsilon-greedy over the two bank actions; Q-ties resolve to action 0."""
+    if not 0.0 <= eps <= 1.0:
+        raise ValueError("eps must lie in [0, 1]")
+    if eps > 0.0 and rng.random() < eps:
+        return Action(int(rng.integers(2)))
+    image, cont = state
+    q = net.forward(image, cont)
+    return Action(int(np.argmax(q)))
+
+
+def bellman_target(reward, next_state, terminal, target_net, gamma):
+    """One transition's TD target, the oracle for Trainer.train_step's batch."""
+    if terminal:
+        return float(reward)
+    image, cont = next_state
+    q = target_net.forward(image, cont)
+    return float(reward + gamma * float(q.max()))
 
 
 class StubNet:

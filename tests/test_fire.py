@@ -20,9 +20,8 @@ from firescout.fire import (
     TShapeSeed,
     Wind,
     apply_seed,
+    _offset_probabilities,
     burning_channel_u8,
-    fuel_channel_u8,
-    ignition_probability,
     ignition_probability_map,
     new_grid,
     pre_grow,
@@ -30,6 +29,34 @@ from firescout.fire import (
 )
 
 CALM = Wind()
+
+
+def ignition_probability(grid, params, wind, cell):
+    """Scalar oracle for one cell of ignition_probability_map.
+
+    Zero for cells that are already burning or out of fuel. Otherwise each
+    burning neighbor within the offset cutoff contributes an independent
+    chance, combined as 1 - prod(1 - p_neighbor).
+    """
+    ix, iy = cell
+    if not (0 <= ix < grid.width and 0 <= iy < grid.height):
+        raise ValueError(f"cell ({ix}, {iy}) outside {grid.width}x{grid.height} grid")
+    if grid.burning[iy, ix] or grid.fuel[iy, ix] <= 0:
+        return 0.0
+    survive = 1.0
+    for dx, dy, p in _offset_probabilities(params, wind):
+        nx, ny = ix + dx, iy + dy
+        if 0 <= nx < grid.width and 0 <= ny < grid.height and grid.burning[ny, nx]:
+            survive *= 1.0 - p
+    return 1.0 - survive
+
+
+def fuel_channel_u8(grid):
+    """Fuel scaled into 0-255 (relative to the grid's current maximum)."""
+    peak = float(grid.fuel.max())
+    if peak <= 0:
+        return np.zeros(grid.fuel.shape, dtype=np.uint8)
+    return np.rint(grid.fuel * (255.0 / peak)).astype(np.uint8)
 
 
 def uniform_grid(size=7, fuel=15.0, cell_size=10.0):

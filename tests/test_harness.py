@@ -1,14 +1,24 @@
 """Tests for scenario files, episode logging, suites and rendering."""
 
+import dataclasses
+import functools
 import json
 import math
 import os
+from typing import get_args, get_type_hints
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from firescout.fire import ArcSeed, CircularSeed, TShapeSeed
+from firescout.env import SimConfig
+from firescout.fire import ArcSeed, CircularSeed, PropagationParams, TShapeSeed, Wind
 from firescout.harness import (
+    _FIELDS,
+    _RH_COPIES,
+    CONTROLLERS,
+    NET_CONTROLLERS,
     PROFILES,
     Scenario,
     ScenarioError,
@@ -27,7 +37,24 @@ from firescout.harness import (
     write_episode_csv,
 )
 from firescout.nn import NetworkConfig, QNetwork, save_weights
-from firescout.pgm import read_pgm
+from firescout.receding_horizon import RHConfig
+from firescout.rewards import RewardWeights
+
+
+def read_pgm(path) -> np.ndarray:
+    """Read a plain PGM back into the array orientation write_pgm uses."""
+    with open(path) as f:
+        tokens = []
+        for line in f:
+            body = line.split("#", 1)[0]
+            tokens.extend(body.split())
+    if not tokens or tokens[0] != "P2":
+        raise ValueError(f"{path}: not a plain (P2) PGM file")
+    w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+    if maxval != 255:
+        raise ValueError(f"{path}: expected maxval 255, got {maxval}")
+    data = np.array(tokens[4:4 + w * h], dtype=np.uint8).reshape(h, w)
+    return data[::-1]
 
 
 def tiny_dict(**overrides):
@@ -103,9 +130,37 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError, match=r"wind\."):
             scenario_from_dict({"wind": {"speed": 3}})
 
+    def test_seed_fields_checked_for_every_kind(self):
+        for sp in ({"kind": "none", "radius_cells": 2}, None,
+                   {"kind": "arc", "center_cell": [5, 5], "arm_cells": 2}):
+            with pytest.raises(ScenarioError, match="seed_pattern"):
+                scenario_from_dict({"seed_pattern": sp})
+
+    def test_dotted_top_level_key_is_unknown(self):
+        with pytest.raises(ScenarioError, match=r"unknown field grid\.width_cells"):
+            scenario_from_dict({"grid.width_cells": 5})
+
+    def test_spawn_pose_fields_named(self):
+        with pytest.raises(ScenarioError, match=r"spawn_poses\[1\]\.y_m"):
+            scenario_from_dict({"spawn_poses": [{"x_m": 1.0, "y_m": 2.0}, {"x_m": 1.0}]})
+        with pytest.raises(ScenarioError, match=r"spawn_poses\[0\]\.z_m"):
+            scenario_from_dict({"spawn_poses": [{"x_m": 1.0, "y_m": 2.0, "z_m": 0.0},
+                                                {"x_m": 1.0, "y_m": 2.0}]})
+        with pytest.raises(ScenarioError, match="spawn_poses"):
+            scenario_from_dict({"spawn_poses": [{"x_m": 1.0, "y_m": 2.0}]})
+
     def test_missing_seed_kind_named(self):
         with pytest.raises(ScenarioError, match=r"seed_pattern\.kind"):
             scenario_from_dict({"seed_pattern": {"center_cell": [1, 1]}})
+
+    def test_seed_size_bounded_by_grid(self):
+        # A size that reaches off any grid is refused before its cells are listed.
+        with pytest.raises(ScenarioError, match=r"seed_pattern\.radius_cells"):
+            scenario_from_dict({"seed_pattern": {"kind": "circular", "center_cell": [50, 50],
+                                                 "radius_cells": 10 ** 9}})
+        with pytest.raises(ScenarioError, match=r"seed_pattern\.center_cell"):
+            scenario_from_dict({"seed_pattern": {"kind": "t_shape", "center_cell": [50, 50],
+                                                 "arm_cells": 60}})
 
     def test_unknown_seed_kind_rejected(self):
         with pytest.raises(ScenarioError, match="ellipse"):
@@ -393,3 +448,206 @@ class TestBadInputExitsTwo:
         assert code == 2
         assert "episodes" in out.err
         assert "Traceback" not in out.err
+
+    @pytest.mark.parametrize("override,field", [
+        ({"grid": {"width_cells": 0}}, "grid.width_cells"),
+        ({"grid": {"width_cells": "abc"}}, "grid.width_cells"),
+        ({"grid": {"width_cells": True}}, "grid.width_cells"),
+        ({"grid": {"width_cells": 20.7}}, "grid.width_cells"),
+        ({"observation": {"n_angle_bins": 0}}, "observation.n_angle_bins"),
+        ({"observation": {"max_range_m": "nan"}}, "observation.max_range_m"),
+        ({"observation": {"max_range_m": 0}}, "observation.max_range_m"),
+        ({"propagation": {"max_offset_cells": -1}}, "propagation.max_offset_cells"),
+        ({"propagation": {"step_seconds": 0}}, "propagation.step_seconds"),
+        ({"seed_pattern": {"kind": "circular", "center_cell": [9, 9], "radius_cells": 1}},
+         "seed_pattern.center_cell"),
+        ({"grid": 5}, "grid"),
+        ({"rng_seed": -1}, "rng_seed"),
+        ({"aircraft_count": "two"}, "aircraft_count"),
+        ({"grid": {"fuel_min_steps": 20.0, "fuel_max_steps": 10.0}}, "grid.fuel_max_steps"),
+        ({"snapshot_every_steps": 0}, "snapshot_every_steps"),
+        ({"wind": {"strength": -1}}, "wind.strength"),
+    ])
+    def test_bad_field(self, tmp_path, capsys, override, field):
+        config = tiny_dict()
+        for key, value in override.items():
+            if isinstance(value, dict):
+                config[key] = {**config.get(key, {}), **value}
+            else:
+                config[key] = value
+        code, out = self.run_cli(tmp_path, capsys, ["baseline", "--episodes", "2"], config)
+        assert code == 2
+        assert field in out.err
+        assert "Traceback" not in out.err
+        assert "mean" not in out.out
+
+    @pytest.mark.parametrize("flags,field", [
+        (["--seed", "-1"], "rng_seed"),
+        (["--snapshot-every", "0"], "snapshot_every_steps"),
+    ])
+    def test_bad_override_flag(self, tmp_path, capsys, flags, field):
+        code, out = self.run_cli(tmp_path, capsys, ["render", *flags], tiny_dict())
+        assert code == 2
+        assert field in out.err
+        assert "Traceback" not in out.err
+
+    @pytest.mark.parametrize("damage", ["truncated", "junk header"])
+    def test_bad_weights_file(self, tmp_path, capsys, damage):
+        cfg = NetworkConfig(image_shape=(10, 10, 2), conv_stages=1, conv_filters=2,
+                            image_dense=(8,), continuous_dense=(8,), merge_dense=(8,))
+        wpath = tmp_path / "weights.bin"
+        save_weights(QNetwork(cfg, np.random.default_rng(0)), wpath)
+        blob = wpath.read_bytes()
+        if damage == "truncated":
+            blob = blob[:len(blob) // 2]
+        else:
+            header_len = int.from_bytes(blob[8:12], "little")
+            blob = blob[:12] + b"}" * header_len + blob[12 + header_len:]
+        wpath.write_bytes(blob)
+        config = tiny_dict(controller="belief-net", weights_path=str(wpath))
+        code, out = self.run_cli(tmp_path, capsys, ["evaluate", "--episodes", "2"], config)
+        assert code == 2
+        assert "weights_path" in out.err and str(wpath) in out.err
+        assert "Traceback" not in out.err
+        assert "mean" not in out.out
+
+
+# -- the field table --------------------------------------------------------
+
+# Dataclass fields that scenario files do not expose: the decision and
+# fire rates, the planner's step (it flies at the decision rate), and the
+# planner's copies of the sensor fields and reward weights.
+NOT_IN_SCENARIOS = {(SimConfig, "decision_hz"), (SimConfig, "fire_every_steps"),
+                    (RHConfig, "dt"), *((RHConfig, name) for name in _RH_COPIES)}
+# Parsed outside the table, each by its own small case.
+SPECIAL_CASES = {(SimConfig, "seed_pattern"), (SimConfig, "spawn_poses")}
+DEFAULTS = scenario_from_dict({"seed_pattern": {"kind": "none"}})
+
+
+def attribute(sc, attr):
+    return functools.reduce(getattr, attr.split("."), sc)
+
+
+def set_field(data, name, value):
+    section, _, key = name.rpartition(".")
+    (data.setdefault(section, {}) if section else data)[key] = value
+
+
+def bounds(name, resolved):
+    """(lo, lo_open, hi, hi_open) of an interval field; ends that name
+    another field take its value from resolved."""
+    valid = _FIELDS[name][1]
+    lo, hi = (resolved[end] if end in resolved else float(end)
+              for end in valid[1:-1].split(", "))
+    return lo, valid[0] == "(", hi, valid[-1] == ")"
+
+
+def flat_values(sc):
+    return {name: attribute(sc, attr) for name, (attr, _) in _FIELDS.items()}
+
+
+def owner(attr):
+    """(dataclass, field name) at the end of an attribute path from Scenario."""
+    *owners, leaf = attr.split(".")
+    return functools.reduce(lambda c, o: get_type_hints(c)[o], owners, Scenario), leaf
+
+
+def is_int_field(name):
+    cls, leaf = owner(_FIELDS[name][0])
+    hint = get_type_hints(cls)[leaf]
+    return int in (get_args(hint) or (hint,))
+
+
+@st.composite
+def scenario_dicts(draw):
+    """Valid scenario dicts that set any subset of the table's fields."""
+    data, resolved = {}, flat_values(DEFAULTS)
+    for name, (attr, valid) in _FIELDS.items():
+        if name == "controller":
+            value = draw(st.sampled_from([c for c in CONTROLLERS if c not in NET_CONTROLLERS]))
+        elif name == "weights_path":
+            value = draw(st.none() | st.text(max_size=8))
+        elif name == "snapshot_every_steps" and draw(st.booleans()):
+            value = None
+        else:
+            lo, lo_open, hi, hi_open = bounds(name, resolved)
+            if is_int_field(name):
+                lo, hi = lo + lo_open, min(hi - hi_open, lo + 40)
+                value = draw(st.integers(int(lo), int(hi)))
+            else:
+                value = draw(st.floats(max(lo, -1e6), min(hi, 1e6), exclude_min=lo_open,
+                                       exclude_max=hi_open and hi <= 1e6))
+        # A field whose bounds name another one is always set, so its
+        # default cannot fall outside them.
+        if draw(st.booleans()) or isinstance(valid, str) and any(
+                end in _FIELDS for end in valid[1:-1].split(", ")):
+            set_field(data, name, value)
+            resolved[name] = value
+    w, h = resolved["grid.width_cells"], resolved["grid.height_cells"]
+    kind = draw(st.sampled_from(["none", "circular", "t_shape", "arc"]))
+    if kind != "none":
+        # A box of half-width r around the centre holds every kind of seed of size r.
+        r = draw(st.integers(0, (min(w, h) - 1) // 2))
+        center = [draw(st.integers(r, w - 1 - r)), draw(st.integers(r, h - 1 - r))]
+        size = "arm_cells" if kind == "t_shape" else "radius_cells"
+        data["seed_pattern"] = {"kind": kind, "center_cell": center, size: r}
+    else:
+        data["seed_pattern"] = {"kind": "none"}
+    if draw(st.booleans()):
+        finite = st.floats(-1e4, 1e4)
+        data["spawn_poses"] = [{"x_m": draw(finite), "y_m": draw(finite),
+                                "psi_rad": draw(finite), "phi_rad": draw(finite)}
+                               for _ in range(resolved["aircraft_count"])]
+    return data
+
+
+class TestFieldTable:
+    def test_every_config_field_is_in_a_scenario_or_listed(self):
+        covered = {owner(attr) for attr, _ in _FIELDS.values()}
+        for cls in (SimConfig, Wind, PropagationParams, RewardWeights, RHConfig):
+            for f in dataclasses.fields(cls):
+                if dataclasses.is_dataclass(f.default):
+                    continue  # a section: its own fields are checked
+                key = (cls, f.name)
+                places = (key in covered) + (key in NOT_IN_SCENARIOS) + (key in SPECIAL_CASES)
+                assert places == 1, f"{cls.__name__}.{f.name} is in {places} places, not 1"
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=scenario_dicts())
+    def test_round_trip(self, data):
+        sc = scenario_from_dict(data)
+        written = scenario_to_dict(sc)
+        again = scenario_from_dict(written)
+        assert again == sc
+        assert scenario_to_dict(again) == written
+        assert json.loads(json.dumps(written)) == written
+
+    @settings(max_examples=300, deadline=None)
+    @given(name=st.sampled_from(list(_FIELDS)), data=st.data())
+    def test_one_bad_field_is_named(self, name, data):
+        base = tiny_dict()
+        wrong_type = st.text(max_size=4) | st.lists(st.integers(), max_size=2)
+        bad = [st.booleans(), st.dictionaries(st.text(max_size=2), st.integers(), max_size=1)]
+        if name == "weights_path":
+            bad.append(st.integers())
+        elif name == "controller":
+            bad += [st.integers(), st.text(max_size=12).filter(lambda c: c not in CONTROLLERS)]
+        else:
+            bad += [wrong_type, st.sampled_from([math.nan, math.inf, -math.inf])]
+            if not is_int_field(name):
+                bad.append(st.sampled_from([10 ** 400, -10 ** 400]))  # past any float
+            if is_int_field(name):
+                bad.append(st.floats())  # 20.0 too: an integer field takes no float
+            lo, lo_open, hi, hi_open = bounds(name, flat_values(scenario_from_dict(base)))
+            ints = is_int_field(name)
+            if math.isfinite(lo):
+                bad.append(st.integers(int(lo) - 1000, int(lo) - 1 + lo_open) if ints
+                           else st.floats(lo - 1000, lo, exclude_max=not lo_open))
+            if math.isfinite(hi):
+                bad.append(st.integers(int(hi) + (not hi_open), int(hi) + 1000) if ints
+                           else st.floats(hi, hi + 1000, exclude_min=not hi_open))
+        value = data.draw(st.one_of(*bad))
+        set_field(base, name, value)
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(base)
+        assert str(err.value).startswith(f"{name}: "), (value, str(err.value))

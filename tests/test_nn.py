@@ -407,3 +407,33 @@ class TestSerialization:
         path.write_bytes(bytes(blob))
         with pytest.raises(ValueError):
             load_weights(path)
+
+    def test_every_truncation_names_the_file(self, tmp_path):
+        tiny = NetworkConfig(image_shape=(2, 2, 1), conv_stages=1, conv_filters=1,
+                             image_dense=(2,), continuous_dense=(2,), merge_dense=(2,))
+        full = tmp_path / "full.bin"
+        save_weights(QNetwork(tiny, np.random.default_rng(25)), full)
+        blob = full.read_bytes()
+        path = tmp_path / "cut.bin"
+        for n in range(len(blob)):
+            path.write_bytes(blob[:n])
+            with pytest.raises(ValueError) as err:
+                load_weights(path)
+            assert str(path) in str(err.value), n
+        path.write_bytes(blob + b"\0")
+        with pytest.raises(ValueError, match="after the last parameter"):
+            load_weights(path)
+
+    @pytest.mark.parametrize("header", [b"{not json", b"\xff\xfe", b"[1, 2]", b"{}",
+                                        b'{"image_shape": [0, 0, 1]}', b'{"bogus": 1}'])
+    def test_junk_header_names_the_file(self, tmp_path, header):
+        net = QNetwork(SMALL, np.random.default_rng(26))
+        path = tmp_path / "w.bin"
+        save_weights(net, path)
+        blob = path.read_bytes()
+        old_len = int.from_bytes(blob[8:12], "little")
+        path.write_bytes(blob[:8] + len(header).to_bytes(4, "little") + header
+                         + blob[12 + old_len:])
+        with pytest.raises(ValueError, match="bad architecture header") as err:
+            load_weights(path)
+        assert str(path) in str(err.value)

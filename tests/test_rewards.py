@@ -6,6 +6,7 @@ Closed-form literals frozen by hand:
 """
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -17,12 +18,19 @@ from firescout.rewards import (
     belief_reward,
     cold_cells_penalty,
     fire_distance_penalty,
-    observation_reward,
     proximity_penalty,
 )
 from firescout.sensing import PolarObservation, RangeBins, build_range_bins
 
 W = RewardWeights()
+
+
+def observation_reward(obs, bins, geom, w):
+    """Sum of the four observation-approach penalties for one peer (always <= 0)."""
+    return (fire_distance_penalty(obs, bins, w)
+            + cold_cells_penalty(obs, bins, w)
+            + bank_penalty(geom.phi_own, w)
+            + proximity_penalty(geom.rho, w))
 
 
 def obs_with(bins, n_angle=30, rows=()):
@@ -155,4 +163,4 @@ class TestWeights:
 
     def test_round_trip_dict(self):
         w = RewardWeights(lambda1=0.05, r0=80.0)
-        assert RewardWeights(**w.to_dict()) == w
+        assert RewardWeights(**asdict(w)) == w
