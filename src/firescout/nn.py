@@ -87,8 +87,9 @@ class Conv2D:
         pad = (k - 1) // 2
         xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
         xp[:, pad:pad + h, pad:pad + w, :] = x
-        patches = [xp[:, di:di + h, dj:dj + w, :] for di in range(k) for dj in range(k)]
-        return np.concatenate(patches, axis=3)  # (n, h, w, k*k*c)
+        s0, s1, s2, s3 = xp.strides  # window view (n, h, w, k, k, c), checked to fit in xp
+        windows = np.ndarray((n, h, w, k, k, c), xp.dtype, xp, 0, (s0, s1, s2, s1, s2, s3))
+        return np.ascontiguousarray(windows).reshape(n, h, w, k * k * c)
 
     def forward(self, x):
         y, _ = self.forward_cached(x)
@@ -102,7 +103,8 @@ class Conv2D:
         y = cols.reshape(-1, k * k * c) @ w2 + self.bias
         return y.reshape(n, h, w, -1), (cols, x.shape)
 
-    def backward(self, cache, dout):
+    def backward(self, cache, dout, input_grad=True):
+        """(dx, [dw, db]); dx is None when input_grad is false."""
         cols, x_shape = cache
         n, h, w, c = x_shape
         k = self.kernel
@@ -112,6 +114,8 @@ class Conv2D:
         dflat = dout.reshape(-1, n_out)
         dw = (cols.reshape(-1, kkc).T @ dflat).reshape(self.weight.shape)
         db = dflat.sum(axis=0)
+        if not input_grad:
+            return None, [dw, db]
         dcols = (dflat @ self.weight.reshape(kkc, n_out).T).reshape(n, h, w, k, k, c)
         dxp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=dout.dtype)
         for di in range(k):
@@ -126,30 +130,36 @@ class MaxPool2:
     params: list = []
 
     @staticmethod
-    def _windows(x):
-        n, h, w, c = x.shape
-        oh, ow = h // 2, w // 2
-        win = x[:, :2 * oh, :2 * ow, :].reshape(n, oh, 2, ow, 2, c)
-        return win.transpose(0, 1, 3, 2, 4, 5).reshape(n, oh, ow, 4, c)
+    def _quadrants(x):
+        """Strided views x[:, i::2, j::2] of the full windows, in window order."""
+        oh, ow = x.shape[1] // 2, x.shape[2] // 2
+        return [x[:, i:2 * oh:2, j:2 * ow:2] for i in (0, 1) for j in (0, 1)]
 
     def forward(self, x):
-        return self._windows(x).max(axis=3)
+        q00, q01, q10, q11 = self._quadrants(x)
+        return np.maximum(np.maximum(q00, q01), np.maximum(q10, q11))
 
     def forward_cached(self, x):
-        win = self._windows(x)
-        idx = win.argmax(axis=3)  # ties resolve to the first element
-        y = np.take_along_axis(win, idx[:, :, :, None, :], axis=3).squeeze(3)
-        return y, (idx, x.shape)
+        y = self.forward(x)
+        q00, q01, q10, _ = self._quadrants(x)
+        # cache each maximum's row-major window position, as uint8: the number of
+        # leading positions that miss it, so that a tie goes to the first
+        miss = q00 != y
+        pos = miss.astype(np.uint8)
+        for q in (q01, q10):
+            miss &= q != y
+            pos += miss
+        return y, (pos, x.shape)
 
     def backward(self, cache, dout):
-        idx, x_shape = cache
-        n, h, w, c = x_shape
-        oh, ow = h // 2, w // 2
-        dwin = np.zeros((n, oh, ow, 4, c), dtype=dout.dtype)
-        np.put_along_axis(dwin, idx[:, :, :, None, :], dout[:, :, :, None, :], axis=3)
-        dwin = dwin.reshape(n, oh, ow, 2, 2, c).transpose(0, 1, 3, 2, 4, 5)
-        dx = np.zeros(x_shape, dtype=dout.dtype)
-        dx[:, :2 * oh, :2 * ow, :] = dwin.reshape(n, 2 * oh, 2 * ow, c)
+        pos, (n, h, w, c) = cache
+        # flat index into dx of each window's top-left element, plus the winner's offset
+        idx = (np.arange(n)[:, None, None, None] * (h * w * c) + np.arange(c)
+               + np.arange(pos.shape[1])[:, None, None] * (2 * w * c)
+               + np.arange(pos.shape[2])[:, None] * (2 * c))
+        idx += np.array([0, c, w * c, (w + 1) * c])[pos]
+        dx = np.zeros((n, h, w, c), dtype=dout.dtype)
+        dx.reshape(-1)[idx.reshape(-1)] = dout.reshape(-1)
         return dx, []
 
 
@@ -346,7 +356,11 @@ class QNetwork:
             d_cont, g = self.continuous_layers[i].backward(caches[n_img + i], d_cont)
             grads_rev.append(g)
         for i in range(n_img - 1, -1, -1):
-            d_img, g = self.image_layers[i].backward(caches[i], d_img)
+            if i == 0 and isinstance(self.image_layers[0], Conv2D):
+                # the images themselves need no gradient
+                d_img, g = self.image_layers[0].backward(caches[0], d_img, input_grad=False)
+            else:
+                d_img, g = self.image_layers[i].backward(caches[i], d_img)
             grads_rev.append(g)
 
         grads = [g for layer_grads in reversed(grads_rev) for g in layer_grads]
@@ -381,8 +395,9 @@ class AdaMax:
                 raise ValueError("parameter/gradient shape does not match optimizer state")
             m *= self.beta1
             m += (1.0 - self.beta1) * g
-            np.maximum(self.beta2 * u, np.abs(g), out=u)
-            p -= (scale * m / np.maximum(u, 1e-8)).astype(p.dtype)
+            u *= self.beta2
+            np.maximum(u, np.abs(g), out=u)
+            p -= scale * m / np.maximum(u, 1e-8)
 
 
 def copy_weights(src: QNetwork, dst: QNetwork) -> None:

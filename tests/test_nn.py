@@ -1,14 +1,18 @@
 """Tests for the from-scratch network and optimizer.
 
 Oracles: direct (non-im2col) convolution loops, central finite
-differences in float64, and hand-counted parameter totals for the two
-full-scale configurations (4,855,474 and 726,898).
+differences in float64, hand-counted parameter totals for the two
+full-scale configurations (4,855,474 and 726,898), and reference kernels
+(slice-concatenate im2col, argmax pooling, a full image backward pass)
+that the layers must match bit for bit.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from firescout.nn import (
     AdaMax,
@@ -57,6 +61,112 @@ def assert_close_gradients(analytic, numeric, tol=1e-4):
     assert worst < tol, f"worst relative gradient error {worst:.3e}"
 
 
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+# -- reference kernels ------------------------------------------------------
+#
+# The straightforward im2col, pooling and backward code: each layer's
+# faster kernel must give exactly the same bits.
+
+class OracleConv2D(Conv2D):
+    """im2col by k*k slice copies; backward always computes dx by col2im."""
+
+    def forward_cached(self, x):
+        n, h, w, c = x.shape
+        k = self.kernel
+        pad = (k - 1) // 2
+        xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
+        xp[:, pad:pad + h, pad:pad + w, :] = x
+        patches = [xp[:, di:di + h, dj:dj + w, :] for di in range(k) for dj in range(k)]
+        cols = np.concatenate(patches, axis=3)
+        y = cols.reshape(-1, k * k * c) @ self.weight.reshape(k * k * c, -1) + self.bias
+        return y.reshape(n, h, w, -1), (cols, x.shape)
+
+    def backward(self, cache, dout, input_grad=True):
+        cols, x_shape = cache
+        n, h, w, c = x_shape
+        k = self.kernel
+        pad = (k - 1) // 2
+        kkc = k * k * c
+        n_out = dout.shape[-1]
+        dflat = dout.reshape(-1, n_out)
+        dw = (cols.reshape(-1, kkc).T @ dflat).reshape(self.weight.shape)
+        db = dflat.sum(axis=0)
+        dcols = (dflat @ self.weight.reshape(kkc, n_out).T).reshape(n, h, w, k, k, c)
+        dxp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=dout.dtype)
+        for di in range(k):
+            for dj in range(k):
+                dxp[:, di:di + h, dj:dj + w, :] += dcols[:, :, :, di, dj, :]
+        return dxp[:, pad:pad + h, pad:pad + w, :], [dw, db]
+
+
+class OracleMaxPool2(MaxPool2):
+    """argmax over a transposed window copy; backward by put_along_axis."""
+
+    @staticmethod
+    def _windows(x):
+        n, h, w, c = x.shape
+        oh, ow = h // 2, w // 2
+        win = x[:, :2 * oh, :2 * ow, :].reshape(n, oh, 2, ow, 2, c)
+        return win.transpose(0, 1, 3, 2, 4, 5).reshape(n, oh, ow, 4, c)
+
+    def forward(self, x):
+        return self._windows(x).max(axis=3)
+
+    def forward_cached(self, x):
+        win = self._windows(x)
+        idx = win.argmax(axis=3)  # ties resolve to the first element
+        y = np.take_along_axis(win, idx[:, :, :, None, :], axis=3).squeeze(3)
+        return y, (idx, x.shape)
+
+    def backward(self, cache, dout):
+        idx, x_shape = cache
+        n, h, w, c = x_shape
+        oh, ow = h // 2, w // 2
+        dwin = np.zeros((n, oh, ow, 4, c), dtype=dout.dtype)
+        np.put_along_axis(dwin, idx[:, :, :, None, :], dout[:, :, :, None, :], axis=3)
+        dwin = dwin.reshape(n, oh, ow, 2, 2, c).transpose(0, 1, 3, 2, 4, 5)
+        dx = np.zeros(x_shape, dtype=dout.dtype)
+        dx[:, :2 * oh, :2 * ow, :] = dwin.reshape(n, 2 * oh, 2 * ow, c)
+        return dx, []
+
+
+def oracle_network(config, seed, dtype=np.float32):
+    """The network QNetwork(config, default_rng(seed)) builds, on the
+    reference kernels; its first conv layer also computes the unused dx."""
+    net = QNetwork(config, np.random.default_rng(seed), dtype=dtype)
+    oracle_class = {Conv2D: OracleConv2D, MaxPool2: OracleMaxPool2}
+    for layer in net.image_layers:
+        layer.__class__ = oracle_class.get(type(layer), type(layer))
+    return net
+
+
+@st.composite
+def tie_heavy_images(draw):
+    """(n, h, w, c) images of values in {-1, 0, 1} or of ReLU outputs, and
+    a generator seeded from the draw."""
+    shape = (draw(st.integers(1, 5)), draw(st.integers(1, 9)), draw(st.integers(1, 9)),
+             draw(st.sampled_from([1, 2, 3, 8])))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        x = rng.integers(-1, 2, size=shape).astype(dtype)
+    else:
+        x = Relu().forward(rng.normal(size=shape).astype(dtype))
+    return x, rng
+
+
+def upstream_gradient(rng, shape, dtype):
+    """Normal values with a fifth of them negative zero."""
+    d = rng.normal(size=shape).astype(dtype)
+    d[rng.random(shape) < 0.2] = -0.0
+    return d
+
+
 class TestConv2D:
     def direct_convolution(self, x, weight, bias):
         """Quadruple-loop same-padding convolution, the slow way."""
@@ -99,6 +209,28 @@ class TestConv2D:
         assert_close_gradients(dw, numeric_gradient(objective, layer.weight), 1e-6)
         assert_close_gradients(db, numeric_gradient(objective, layer.bias), 1e-6)
 
+    @settings(max_examples=200, deadline=None)
+    @given(images=tie_heavy_images(), k=st.sampled_from([1, 3, 5]), n_out=st.integers(1, 4))
+    def test_bit_identical_to_oracle(self, images, k, n_out):
+        x, rng = images
+        c = x.shape[-1]
+        seed = int(rng.integers(2**32))
+        layer = Conv2D(c, n_out, np.random.default_rng(seed), x.dtype, k)
+        oracle = OracleConv2D(c, n_out, np.random.default_rng(seed), x.dtype, k)
+        layer.bias[...] = oracle.bias[...] = rng.normal(size=n_out)
+        y, cache = layer.forward_cached(x)
+        want_y, want_cache = oracle.forward_cached(x)
+        assert_same_bits(y, want_y)
+        dout = upstream_gradient(rng, y.shape, x.dtype)
+        dx, grads = layer.backward(cache, dout)
+        want_dx, want_grads = oracle.backward(want_cache, dout)
+        assert_same_bits(dx, want_dx)
+        no_dx, param_grads = layer.backward(cache, dout, input_grad=False)
+        assert no_dx is None
+        for got, also, want in zip(grads, param_grads, want_grads):
+            assert_same_bits(got, want)
+            assert_same_bits(also, want)
+
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError):
             Conv2D(1, 1, np.random.default_rng(0), np.float64, kernel=4)
@@ -140,6 +272,38 @@ class TestMaxPool2:
         dx, _ = pool.backward(cache, np.full((1, 1, 1, 1), 5.0))
         assert dx[0, 0, 0, 0] == 5.0
         assert dx.sum() == 5.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(images=tie_heavy_images())
+    def test_bit_identical_to_oracle(self, images):
+        x, rng = images
+        pool, oracle = MaxPool2(), OracleMaxPool2()
+        y, cache = pool.forward_cached(x)
+        want_y, want_cache = oracle.forward_cached(x)
+        assert_same_bits(y, want_y)
+        assert_same_bits(pool.forward(x), want_y)
+        dout = upstream_gradient(rng, y.shape, x.dtype)
+        assert_same_bits(pool.backward(cache, dout)[0], oracle.backward(want_cache, dout)[0])
+
+    @pytest.mark.parametrize("window, winner", [
+        ([[2.0, 2.0], [2.0, 2.0]], 0),    # all four tie: the first wins
+        ([[0.0, 0.0], [0.0, 1.0]], 3),    # the maximum only in the last position
+        ([[-1.0, 5.0], [0.0, 5.0]], 1),   # a tie between the second and the last
+    ])
+    def test_window_position_cache(self, window, winner):
+        # a 2x4 image: the window under test, then a window of zeros
+        x = np.zeros((1, 2, 4, 1))
+        x[0, :, :2, 0] = window
+        pool = MaxPool2()
+        y, (pos, _) = pool.forward_cached(x)
+        assert pos.dtype == np.uint8 and pos.shape == y.shape
+        assert pos[0, 0, 0, 0] == winner and pos[0, 0, 1, 0] == 0
+        dout = np.array([[[[7.0], [-3.0]]]])
+        dx, _ = pool.backward((pos, x.shape), dout)
+        assert dx[0, winner // 2, winner % 2, 0] == 7.0 and dx[0, 0, 2, 0] == -3.0
+        assert np.count_nonzero(dx) == 2
+        want_dx, _ = OracleMaxPool2().backward(OracleMaxPool2().forward_cached(x)[1], dout)
+        assert_same_bits(dx, want_dx)
 
     def test_gradient_matches_finite_differences(self):
         # away from ties the pooled output is locally linear
@@ -324,6 +488,80 @@ class TestLossAndGradients:
             assert_close_gradients(grad, numeric_gradient(objective, param), 1e-4)
 
 
+DESK = dict(conv_stages=2, conv_filters=8, image_dense=(64, 32),
+            continuous_dense=(32, 32), merge_dense=(64,))
+
+
+class TestNetworkBitIdentity:
+    """Whole networks on the layer kernels against the same networks on
+    the reference kernels: the same bits, batch by batch."""
+
+    @pytest.mark.parametrize("config", [
+        NetworkConfig(image_shape=(10, 8, 1), **DESK),     # desk observation
+        NetworkConfig(image_shape=(20, 20, 2), **DESK),    # desk belief
+        NetworkConfig(image_shape=(40, 30, 1)),            # paper observation
+    ], ids=["desk-observation", "desk-belief", "paper-observation"])
+    def test_losses_gradients_and_values(self, config, monkeypatch):
+        net, oracle = QNetwork(config, np.random.default_rng(40)), oracle_network(config, 40)
+        input_grads = []  # (layer, input_grad) of each Conv2D.backward call
+        backward = Conv2D.backward
+
+        def recording_backward(layer, cache, dout, input_grad=True):
+            input_grads.append((layer, input_grad))
+            return backward(layer, cache, dout, input_grad)
+
+        monkeypatch.setattr(Conv2D, "backward", recording_backward)
+        rng = np.random.default_rng(41)
+        # 0/1 images: pooling windows full of exact ties
+        images = rng.integers(0, 2, size=(64,) + config.image_shape).astype(np.float32)
+        conts = rng.normal(size=(64, 5)).astype(np.float32)
+        actions = rng.integers(0, 2, 64)
+        targets = rng.normal(size=64).astype(np.float32)
+        loss, grads = net.loss_and_gradients(images, conts, actions, targets)
+        convs = [layer for layer in net.image_layers if isinstance(layer, Conv2D)]
+        # only the first conv layer, whose input is the image, skips dx
+        assert input_grads == [(layer, layer is not convs[0]) for layer in reversed(convs)]
+        want_loss, want_grads = oracle.loss_and_gradients(images, conts, actions, targets)
+        assert loss == want_loss
+        assert len(grads) == len(want_grads)
+        for got, want in zip(grads, want_grads):
+            assert_same_bits(got, want)
+        for rows in (1, 3, 64):
+            assert_same_bits(net.forward_batch(images[:rows], conts[:rows]),
+                             oracle.forward_batch(images[:rows], conts[:rows]))
+
+    def test_pool_cache_is_one_byte_per_output(self):
+        net = QNetwork(NetworkConfig(image_shape=(20, 20, 2), **DESK), np.random.default_rng(42))
+        a = np.random.default_rng(43).random((4, 20, 20, 2)).astype(np.float32)
+        pools = 0
+        for layer in net.image_layers:
+            a, cache = layer.forward_cached(a)
+            if isinstance(layer, MaxPool2):
+                pos, _ = cache
+                assert pos.dtype == np.uint8 and pos.shape == a.shape and pos.nbytes == a.size
+                assert not any(isinstance(v, np.ndarray) and v.dtype.kind == "f" for v in cache)
+                pools += 1
+        assert pools == 2
+
+    def test_network_without_conv_stages_trains_a_step(self):
+        config = NetworkConfig(image_shape=(3, 2, 1), conv_stages=0, image_dense=(4,),
+                               continuous_dense=(4,), merge_dense=(4,))
+        net, oracle = QNetwork(config, np.random.default_rng(44)), oracle_network(config, 44)
+        assert isinstance(net.image_layers[0], Flatten)
+        rng = np.random.default_rng(45)
+        batch = (rng.normal(size=(8, 3, 2, 1)), rng.normal(size=(8, 5)),
+                 rng.integers(0, 2, 8), rng.normal(size=8))
+        loss, grads = net.loss_and_gradients(*batch)
+        want_loss, want_grads = oracle.loss_and_gradients(*batch)
+        assert loss == want_loss
+        for got, want in zip(grads, want_grads):
+            assert_same_bits(got, want)
+        before = net.parameters()[0].copy()
+        AdaMax(net.parameters()).step(net.parameters(), grads)
+        assert not np.array_equal(net.parameters()[0], before)
+        assert np.isfinite(net.loss_and_gradients(*batch)[0])
+
+
 class TestAdaMax:
     def test_first_step_exact(self):
         # beta1=0.5, alpha=0.25: scale = 0.5, m = 5, u = 10, delta = 0.25
@@ -362,6 +600,26 @@ class TestAdaMax:
         opt = AdaMax(p, alpha=0.1)
         opt.step(p, [np.array([1.0, -1.0]), np.array([[1.0]])])
         assert p[0][0] < 1.0 and p[0][1] > -1.0 and p[1][0, 0] < 2.0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_five_steps_follow_the_docstring_formula(self, dtype):
+        rng = np.random.default_rng(31)
+        params = [rng.normal(size=(3, 4)).astype(dtype), rng.normal(size=5).astype(dtype)]
+        want = [p.copy() for p in params]
+        m = [np.zeros_like(p) for p in params]
+        u = [np.zeros_like(p) for p in params]
+        alpha, b1, b2 = 0.01, 0.9, 0.999
+        opt = AdaMax(params, alpha=alpha, beta1=b1, beta2=b2)
+        for t in range(1, 6):
+            grads = [rng.normal(size=p.shape).astype(dtype) for p in params]
+            grads[1][0] = 0.0  # a coordinate whose u stays 0, floored at 1e-8
+            opt.step(params, grads)
+            for i, g in enumerate(grads):
+                m[i] = b1 * m[i] + (1 - b1) * g
+                u[i] = np.maximum(b2 * u[i], np.abs(g))
+                want[i] = want[i] - (alpha / (1 - b1 ** t)) * m[i] / np.maximum(u[i], 1e-8)
+            for got, expected in zip(params, want):
+                assert_same_bits(got, expected)
 
     def test_mismatched_state_rejected(self):
         opt = AdaMax([np.zeros(3)])
