@@ -4,7 +4,9 @@ Every aircraft flies the same online network. A transition is recorded
 per (aircraft, peer) pair, so the network only ever learns the pairwise
 value it is later queried for; with two aircraft this is exactly one
 transition per aircraft per step. Action selection with several peers
-sums the pairwise Q-rows before the argmax.
+sums the pairwise Q-rows before the argmax. One QNetwork.forward_team
+call scores a whole decision step: the image branch runs once per
+aircraft, the continuous branch once per ordered pair.
 
 Evaluation always scores the accumulated discovery reward of the shared
 belief map, whatever inputs the flying network consumes.
@@ -136,13 +138,13 @@ def select_action_multi(net: QNetwork, image: np.ndarray,
     """Greedy action maximizing the summed pairwise Q-values.
 
     Each peer contributes one Q-row computed from the shared ownship
-    image and that pair's continuous inputs.
+    image and that pair's continuous inputs: the one-aircraft case of
+    forward_team.
     """
     if len(peer_conts) == 0:
         raise ValueError("need at least one other aircraft")
-    images = np.repeat(np.asarray(image)[None, ...], len(peer_conts), axis=0)
-    q = net.forward_batch(images, np.asarray(peer_conts))
-    return Action(int(np.argmax(q.sum(axis=0))))
+    q = net.forward_team(np.asarray(image)[None, ...], np.asarray(peer_conts)[None, ...])
+    return Action(int(np.argmax(q[0])))
 
 
 class Trainer:
@@ -190,12 +192,9 @@ def mean_stderr(scores: list[float]) -> tuple[float, float]:
 
 
 def _greedy_actions(net: QNetwork, sim: SurveillanceSim, approach: str) -> list[Action]:
-    actions = []
-    for i in range(len(sim.aircraft)):
-        image = sim.state_image(i, approach)
-        conts = [sim.continuous_state(i, j) for j in sim.peer_indices(i)]
-        actions.append(select_action_multi(net, image, conts))
-    return actions
+    """Every aircraft's greedy action from one forward_team call."""
+    q = net.forward_team(sim.team_images(approach), sim.pair_inputs())
+    return [Action(int(a)) for a in np.argmax(q, axis=1)]
 
 
 def _episode_discovery_score(sim: SurveillanceSim, act, rng: np.random.Generator) -> float:
@@ -279,37 +278,30 @@ class _Collector:
         self.bootstrap = bootstrap_on_truncation
         self._needs_reset = True
 
-    def _states(self):
-        sim = self.sim
-        images = [sim.state_image(i, self.approach) for i in range(len(sim.aircraft))]
-        conts = [[sim.continuous_state(i, j) for j in sim.peer_indices(i)]
-                 for i in range(len(sim.aircraft))]
-        return images, conts
-
     def collect_step(self, eps: float, rng: np.random.Generator) -> list[Transition]:
         sim = self.sim
         if self._needs_reset:
             sim.reset(rng)
             self._needs_reset = False
-        images, conts = self._states()
-        actions = []
-        for i in range(len(sim.aircraft)):
-            if eps > 0.0 and rng.random() < eps:
-                actions.append(Action(int(rng.integers(2))))
-            else:
-                actions.append(select_action_multi(self.net, images[i], conts[i]))
+        images, conts = sim.team_images(self.approach), sim.pair_inputs()
+        # rng order per aircraft: the explore draw, then its action if it explores
+        actions = [Action(int(rng.integers(2))) if eps > 0.0 and rng.random() < eps
+                   else None for _ in sim.aircraft]
+        if None in actions:
+            greedy = _greedy_actions(self.net, sim, self.approach)
+            actions = [g if a is None else a for a, g in zip(actions, greedy)]
         result = sim.step(actions, rng)
         rewards = [sim.reward(i, self.approach, result.discovered)
                    for i in range(len(sim.aircraft))]
-        next_images, next_conts = self._states()
+        next_images, next_conts = sim.team_images(self.approach), sim.pair_inputs()
         terminal = result.done and not self.bootstrap
         out = []
         for i in range(len(sim.aircraft)):
-            for k in range(len(conts[i])):
+            for k in range(conts.shape[1]):
                 out.append(Transition(
-                    image=images[i], cont=conts[i][k], action=int(actions[i]),
+                    image=images[i], cont=conts[i, k], action=int(actions[i]),
                     reward=rewards[i], next_image=next_images[i],
-                    next_cont=next_conts[i][k], terminal=terminal))
+                    next_cont=next_conts[i, k], terminal=terminal))
         if result.done:
             self._needs_reset = True
         return out

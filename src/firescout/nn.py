@@ -55,10 +55,10 @@ class Relu:
         return np.maximum(x, 0)
 
     def forward_cached(self, x):
-        return np.maximum(x, 0), x
+        return np.maximum(x, 0), x > 0
 
     def backward(self, cache, dout):
-        return dout * (cache > 0), []
+        return dout * cache, []
 
 
 class Conv2D:
@@ -285,16 +285,37 @@ class QNetwork:
                 f"expected {self.config.n_continuous} continuous inputs, got {conts.shape[1]}")
 
     def forward_batch(self, images: np.ndarray, conts: np.ndarray) -> np.ndarray:
+        """Action values of each (image, continuous) row, shape (n, n_actions)."""
+        return self._pair_rows(images, np.asarray(conts)[:, None, :])
+
+    def forward_team(self, images: np.ndarray, pair_conts: np.ndarray) -> np.ndarray:
+        """Summed pairwise action values of a team, shape (n, n_actions).
+
+        images is (n, h, w, c), one per aircraft; pair_conts is
+        (n, p, n_continuous), one row per (aircraft, peer) pair. The image
+        branch runs once per aircraft and the continuous branch once per
+        pair; each pair's Q-row comes from its owner's image features, and
+        the p rows of each owner are summed.
+        """
+        n, p = np.shape(pair_conts)[:2]
+        return self._pair_rows(images, pair_conts).reshape(n, p, -1).sum(axis=1)
+
+    def _pair_rows(self, images, pair_conts):
+        """(n * p, n_actions) Q-rows, owner-major, for forward_team's inputs."""
         images = np.asarray(images, dtype=self.dtype)
-        conts = np.asarray(conts, dtype=self.dtype)
+        pair_conts = np.asarray(pair_conts, dtype=self.dtype)
+        n, p, k = pair_conts.shape
+        conts = pair_conts.reshape(n * p, k)
         self._check_shapes(images, conts)
+        if len(images) != n:
+            raise ValueError(f"{len(images)} images for {n} rows of pair inputs")
         a = images
         for layer in self.image_layers:
             a = layer.forward(a)
         b = conts
         for layer in self.continuous_layers:
             b = layer.forward(b)
-        z = np.concatenate([a, b], axis=1)
+        z = np.concatenate([np.repeat(a, p, axis=0), b], axis=1)
         for layer in self.merge_layers:
             z = layer.forward(z)
         return z

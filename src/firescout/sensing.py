@@ -169,33 +169,41 @@ def update_belief(belief: BeliefMap, grid: FireGrid,
     return BeliefMap(fire=fire, time_since=time_since, cell_size=belief.cell_size), discovered
 
 
-def ego_belief_image(belief: BeliefMap, state: AircraftState) -> np.ndarray:
-    """Resample the belief into an ownship-centered, heading-aligned image.
+def ego_belief_images(belief: BeliefMap, states) -> np.ndarray:
+    """Resample the belief into ownship-centered, heading-aligned images,
+    one per aircraft state, shape (n, h, w, 2).
 
-    Output is (h, w, 2): channel 0 the fire belief as 0/1, channel 1 the
-    staleness normalized by TIME_SINCE_MAX. The aircraft sits at the
-    center pixel with its heading along the +column axis; rows run toward
-    its left. One pixel spans one belief cell, sampled nearest-neighbor.
-    Pixels that fall outside the map read (0, 1): no fire believed, maximally
-    stale.
+    Channel 0 is the fire belief as 0/1, channel 1 the staleness
+    normalized by TIME_SINCE_MAX. Each aircraft sits at the center pixel
+    with its heading along the +column axis; rows run toward its left.
+    One pixel spans one belief cell, sampled nearest-neighbor. Pixels that
+    fall outside the map read (0, 1): no fire believed, maximally stale.
     """
     h, w = belief.height, belief.width
     cs = belief.cell_size
-    r0, c0 = h // 2, w // 2
-    down = (np.arange(w) - c0) * cs       # along heading, per column
-    cross = (np.arange(h) - r0) * cs      # to the left, per row
-    cos_p, sin_p = np.cos(state.psi), np.sin(state.psi)
-    wx = state.x + down[None, :] * cos_p - cross[:, None] * sin_p
-    wy = state.y + down[None, :] * sin_p + cross[:, None] * cos_p
-    ix = np.floor(wx / cs).astype(np.int64)
-    iy = np.floor(wy / cs).astype(np.int64)
-    inside = (ix >= 0) & (ix < w) & (iy >= 0) & (iy < h)
-    image = np.empty((h, w, 2), dtype=np.float32)
-    image[..., 0] = 0.0
-    image[..., 1] = 1.0
-    image[inside, 0] = belief.fire[iy[inside], ix[inside]]
-    image[inside, 1] = belief.time_since[iy[inside], ix[inside]] / TIME_SINCE_MAX
-    return image
+    down = (np.arange(w) - w // 2) * cs       # along heading, per column
+    cross = (np.arange(h) - h // 2)[:, None] * cs    # to the left, per row
+    xs, ys, psis = np.array([(s.x, s.y, s.psi) for s in states]).T[:, :, None, None]
+    cos_p, sin_p = np.cos(psis), np.sin(psis)
+    cells = []    # (n, h, w) column and row indices into the padded map
+    for p, edge in ((xs + down * cos_p - cross * sin_p, w),
+                    (ys + down * sin_p + cross * cos_p, h)):
+        p /= cs
+        # past an edge, clamp onto the padding row or column (index -1 wraps to it)
+        np.maximum(p, -1.0, out=p)
+        cells.append(np.floor(np.minimum(p, edge, out=p), out=p))
+    flat = (cells[1] * (w + 1) + cells[0]).astype(np.intp)
+    # each cell's (fire, staleness) pixel, plus an off-map row and column
+    pixels = np.empty((h + 1, w + 1, 2), dtype=np.float32)
+    pixels[...] = (0.0, 1.0)
+    pixels[:h, :w, 0] = belief.fire
+    pixels[:h, :w, 1] = belief.time_since / TIME_SINCE_MAX
+    return pixels.reshape(-1, 2).take(flat, axis=0)
+
+
+def ego_belief_image(belief: BeliefMap, state: AircraftState) -> np.ndarray:
+    """One aircraft's (h, w, 2) ego belief image; see ego_belief_images."""
+    return ego_belief_images(belief, [state])[0]
 
 
 def belief_channels_u8(belief: BeliefMap) -> tuple[np.ndarray, np.ndarray]:

@@ -3,20 +3,24 @@
 The Bellman literal 1 + 0.99 * 2 == 2.98, the epsilon midpoint 0.55 and
 the pairwise decomposition case (1,2)+(4,1) -> (5,3) -> action 0 are
 frozen by hand. The two-state MDP oracle has Q* = [1/(1-g), g/(1-g)].
+The team scorer's oracle runs each aircraft's image, repeated once per
+peer, through forward_batch and sums the rows, as selection once did.
 """
 
 import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import firescout
-from firescout.aircraft import Action
+from firescout.aircraft import Action, relative_geometry
 from firescout.dqn import (
     CurvePoint,
+    _Collector,
     ReplayBuffer,
     Trainer,
     TrainingConfig,
@@ -29,8 +33,9 @@ from firescout.dqn import (
     select_action_multi,
     write_curve_csv,
 )
-from firescout.env import BELIEF, OBSERVATION, SimConfig
+from firescout.env import BELIEF, OBSERVATION, SimConfig, SurveillanceSim
 from firescout.fire import CircularSeed
+from firescout.harness import desk_scenario, paper_scenario, profile_net_config
 from firescout.nn import AdaMax, NetworkConfig, QNetwork
 
 TINY_IMAGE = (1, 1, 1)
@@ -75,6 +80,10 @@ class StubNet:
             raise AssertionError("forward_batch should not have been called")
         self.calls += 1
         return np.asarray(self.q_rows, dtype=np.float64)
+
+    def forward_team(self, images, pair_conts):
+        n, p = np.shape(pair_conts)[:2]
+        return self.forward_batch(images, pair_conts).reshape(n, p, -1).sum(axis=1)
 
 
 def tiny_transition(reward=0.0, action=0, terminal=False, cont=None):
@@ -180,6 +189,92 @@ class TestSelectActionMulti:
             multi = select_action_multi(net, image, [cont])
             single = select_action(net, (image, cont), 0.0, quiet)
             assert multi == single
+
+
+def oracle_team_q(net, images, pair_conts):
+    """Per aircraft: its image repeated once per peer, forward_batch, rows summed."""
+    return np.array([net.forward_batch(np.repeat(image[None], len(conts), axis=0), conts)
+                     .sum(axis=0) for image, conts in zip(images, pair_conts)])
+
+
+def oracle_pair_inputs(sim):
+    return np.array([[[g.phi_own, g.rho / sim.config.rho_scale, g.theta, g.psi_rel,
+                       g.phi_other]
+                      for g in (relative_geometry(sim.aircraft[i], sim.aircraft[j])
+                                for j in sim.peer_indices(i))]
+                     for i in range(len(sim.aircraft))], dtype=np.float32)
+
+
+class OracleCollector:
+    """The per-aircraft selection loop that _Collector.collect_step replaced."""
+
+    def __init__(self, sim, net, approach):
+        self.sim, self.net, self.approach = sim, net, approach
+        self.needs_reset = True
+
+    def collect_step(self, eps, rng):
+        sim = self.sim
+        if self.needs_reset:
+            sim.reset(rng)
+            self.needs_reset = False
+        actions = []
+        for i in range(len(sim.aircraft)):
+            if eps > 0.0 and rng.random() < eps:
+                actions.append(Action(int(rng.integers(2))))
+            else:
+                q = oracle_team_q(self.net, [sim.state_image(i, self.approach)],
+                                  [oracle_pair_inputs(sim)[i]])
+                actions.append(Action(int(np.argmax(q[0]))))
+        self.needs_reset = sim.step(actions, rng).done
+        return actions
+
+
+TEAM_CASES = [("desk", BELIEF, 4), ("desk", OBSERVATION, 2), ("paper", OBSERVATION, 2)]
+
+
+def team_setup(profile, approach, n_aircraft):
+    sc = desk_scenario() if profile == "desk" else paper_scenario()
+    sim_cfg = replace(sc.sim, n_aircraft=n_aircraft)
+    net = QNetwork(profile_net_config(profile, approach, sim_cfg), np.random.default_rng(31))
+    return sim_cfg, net
+
+
+class TestForwardTeam:
+    @pytest.mark.parametrize("profile, approach, n_aircraft", TEAM_CASES)
+    def test_sums_match_per_aircraft_oracle(self, profile, approach, n_aircraft):
+        sim_cfg, net = team_setup(profile, approach, n_aircraft)
+        sim = SurveillanceSim(sim_cfg)
+        rng = np.random.default_rng(32)
+        sim.reset(rng)
+        for _ in range(30):
+            images, conts = sim.team_images(approach), sim.pair_inputs()
+            assert conts.tobytes() == oracle_pair_inputs(sim).tobytes()
+            q = net.forward_team(images, conts)
+            want = oracle_team_q(net, images, conts)
+            assert q.shape == (n_aircraft, 2)
+            # BLAS low bits depend on the row count; a value that cancels toward
+            # 0 keeps the absolute error of the largest ones, hence the atol
+            np.testing.assert_allclose(q, want, rtol=1e-5, atol=1e-5 * np.abs(want).max())
+            clear = np.abs(want[:, 0] - want[:, 1]) > 1e-4
+            assert np.array_equal(q.argmax(axis=1)[clear], want.argmax(axis=1)[clear])
+            sim.step([Action(int(a)) for a in rng.integers(2, size=n_aircraft)], rng)
+
+    @pytest.mark.parametrize("profile, approach, n_aircraft", TEAM_CASES)
+    def test_collector_matches_oracle_actions_and_draws(self, profile, approach, n_aircraft):
+        sim_cfg, net = team_setup(profile, approach, n_aircraft)
+        ours = _Collector(SurveillanceSim(sim_cfg), net, approach, bootstrap_on_truncation=True)
+        oracle = OracleCollector(SurveillanceSim(sim_cfg), net, approach)
+        rng_ours, rng_oracle = np.random.default_rng(33), np.random.default_rng(33)
+        for _ in range(40):
+            transitions = ours.collect_step(0.5, rng_ours)
+            want = oracle.collect_step(0.5, rng_oracle)
+            assert [t.action for t in transitions[::n_aircraft - 1]] == want
+            assert rng_ours.bit_generator.state == rng_oracle.bit_generator.state
+
+    def test_one_row_per_pair_needs_its_owner(self):
+        _, net = team_setup("desk", OBSERVATION, 2)
+        with pytest.raises(ValueError):
+            net.forward_team(np.zeros((3, 10, 8, 1)), np.zeros((2, 1, 5)))
 
 
 class TestBellmanTarget:

@@ -1,8 +1,9 @@
-"""Tests for the simulator's per-state image cache.
+"""Tests for the simulator's per-state cache.
 
-Each aircraft's polar observation and ego belief image are rendered once
-per (fire grid or belief map, aircraft state) pair; the collectors, the
-evaluation loop and the observation reward all read that one render.
+The team's polar observations or ego belief images are rendered by one
+batched call per (fire grid or belief map, team state) pair, and each
+ordered pair's relative geometry is computed once per team state; the
+collectors, the evaluation loop and the rewards all read that one result.
 """
 
 from dataclasses import replace
@@ -11,11 +12,12 @@ import numpy as np
 import pytest
 
 from firescout import env
-from firescout.aircraft import Action, AircraftState
+from firescout.aircraft import Action, AircraftState, relative_geometry
 from firescout.dqn import _Collector
 from firescout.env import BELIEF, OBSERVATION, SurveillanceSim
 from firescout.harness import desk_scenario, profile_net_config, run_episode
 from firescout.nn import QNetwork
+from firescout.rewards import belief_reward
 from firescout.sensing import ego_belief_image, render_observation
 
 STEPS = 12
@@ -30,15 +32,15 @@ def counting(monkeypatch, name):
     inner = getattr(env, name)
 
     def wrapped(*args, **kwargs):
-        calls.append(1)
+        calls.append(args)
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(env, name, wrapped)
     return calls
 
 
-@pytest.mark.parametrize("approach, renderer", [(OBSERVATION, "render_observation"),
-                                                (BELIEF, "ego_belief_image")])
+@pytest.mark.parametrize("approach, renderer", [(OBSERVATION, "sample_polar"),
+                                                (BELIEF, "ego_belief_images")])
 def test_training_step_renders_each_aircraft_once(monkeypatch, approach, renderer):
     sim = desk_sim()
     net = QNetwork(profile_net_config("desk", approach, sim.config),
@@ -48,8 +50,9 @@ def test_training_step_renders_each_aircraft_once(monkeypatch, approach, rendere
     rng = np.random.default_rng(1)
     for _ in range(STEPS):
         collector.collect_step(0.5, rng)
-    # the states after reset, then one new state per aircraft and step
-    assert len(calls) == 2 * (STEPS + 1)
+    # the team state after reset, then one new team state per step, each
+    # rendered for both aircraft at once
+    assert [len(args[1]) for args in calls] == [2] * (STEPS + 1)
 
 
 def test_observation_net_episode_renders_each_state_once(monkeypatch):
@@ -58,10 +61,34 @@ def test_observation_net_episode_renders_each_state_once(monkeypatch):
                  sim=replace(sc.sim, horizon_seconds=STEPS * sc.sim.dt))
     net = QNetwork(profile_net_config("desk", OBSERVATION, sc.sim),
                    rng=np.random.default_rng(0))
-    calls = counting(monkeypatch, "render_observation")
+    calls = counting(monkeypatch, "sample_polar")
     record = run_episode(sc, net=net)
     assert len(record.states) == STEPS
-    assert len(calls) == 2 * (STEPS + 1)
+    assert [len(args[1]) for args in calls] == [2] * (STEPS + 1)
+
+
+def test_each_pair_geometry_computed_once_per_team_state(monkeypatch):
+    sim = desk_sim(n_aircraft=3)
+    net = QNetwork(profile_net_config("desk", BELIEF, sim.config),
+                   rng=np.random.default_rng(0))
+    collector = _Collector(sim, net, BELIEF, bootstrap_on_truncation=True)
+    calls = counting(monkeypatch, "relative_geometry")
+    rng = np.random.default_rng(2)
+    for _ in range(STEPS):
+        collector.collect_step(0.5, rng)
+    assert len(calls) == 3 * 2 * (STEPS + 1)
+    sim.aircraft[1] = AircraftState(x=400.0, y=300.0, psi=-2.0, phi=0.1)
+    conts = sim.pair_inputs()
+    rewards = [sim.belief_reward(i, 0) for i in range(3)]
+    assert sim.pair_inputs() is conts
+    assert len(calls) == 3 * 2 * (STEPS + 2)
+    for i in range(3):
+        geoms = [relative_geometry(sim.aircraft[i], sim.aircraft[j])
+                 for j in sim.peer_indices(i)]
+        expect = np.array([[g.phi_own, g.rho / sim.config.rho_scale, g.theta,
+                            g.psi_rel, g.phi_other] for g in geoms], dtype=np.float32)
+        assert conts[i].tobytes() == expect.tobytes()
+        assert rewards[i] == belief_reward(0, geoms, sim.config.weights)
 
 
 def assert_images_fresh(sim):

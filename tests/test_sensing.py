@@ -1,13 +1,17 @@
 """Tests for polar observation sampling and the shared belief map.
 
 The observation oracle re-samples every bin with scalar math, independent
-of the vectorized implementation.
+of the vectorized implementation. The ego belief oracle is the
+one-aircraft resampler that ego_belief_images replaced, which the batch
+must match byte for byte.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from firescout.aircraft import AircraftState
 from firescout.fire import FireGrid, new_grid
@@ -18,6 +22,7 @@ from firescout.sensing import (
     build_range_bins,
     belief_channels_u8,
     ego_belief_image,
+    ego_belief_images,
     render_observation,
     update_belief,
 )
@@ -268,6 +273,60 @@ class TestEgoBeliefImage:
         img = ego_belief_image(belief, AircraftState(80.0, 80.0, 0.4))
         assert (img >= 0.0).all() and (img <= 1.0).all()
         assert set(np.unique(img[:, :, 0])) <= {0.0, 1.0}
+
+
+def oracle_ego_belief_image(belief, state):
+    """One aircraft's ego image with its own index arithmetic and an inside mask."""
+    h, w = belief.height, belief.width
+    cs = belief.cell_size
+    r0, c0 = h // 2, w // 2
+    down = (np.arange(w) - c0) * cs
+    cross = (np.arange(h) - r0) * cs
+    cos_p, sin_p = np.cos(state.psi), np.sin(state.psi)
+    wx = state.x + down[None, :] * cos_p - cross[:, None] * sin_p
+    wy = state.y + down[None, :] * sin_p + cross[:, None] * cos_p
+    ix = np.floor(wx / cs).astype(np.int64)
+    iy = np.floor(wy / cs).astype(np.int64)
+    inside = (ix >= 0) & (ix < w) & (iy >= 0) & (iy < h)
+    image = np.empty((h, w, 2), dtype=np.float32)
+    image[..., 0] = 0.0
+    image[..., 1] = 1.0
+    image[inside, 0] = belief.fire[iy[inside], ix[inside]]
+    image[inside, 1] = belief.time_since[iy[inside], ix[inside]] / TIME_SINCE_MAX
+    return image
+
+
+@st.composite
+def belief_and_team(draw):
+    h, w = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    cs = draw(st.sampled_from([7.3, 10.0, 50.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    belief = BeliefMap(fire=rng.random((h, w)) < 0.3,
+                       time_since=rng.integers(0, TIME_SINCE_MAX + 1, (h, w)).astype(np.int32),
+                       cell_size=cs)
+    # poses up to one map side off every edge, headings across +/-pi; cell
+    # edges and centers and multiples of pi/4 put samples on cell borders
+    def coord(side):
+        return st.one_of(st.floats(-1.0, 2.0).map(lambda f: f * side * cs),
+                         st.integers(-2 * side, 4 * side).map(lambda k: k * cs / 2))
+    heading = st.one_of(st.floats(-math.pi, math.pi),
+                        st.integers(-4, 4).map(lambda k: k * math.pi / 4))
+    states = draw(st.lists(st.builds(AircraftState, coord(w), coord(h), heading),
+                           min_size=1, max_size=4))
+    return belief, states
+
+
+class TestEgoBeliefImages:
+    @settings(max_examples=300, deadline=None)
+    @given(case=belief_and_team())
+    def test_bytes_equal_scalar_oracle(self, case):
+        belief, states = case
+        images = ego_belief_images(belief, states)
+        assert images.shape == (len(states), belief.height, belief.width, 2)
+        assert images.dtype == np.float32
+        for image, state in zip(images, states):
+            assert image.tobytes() == oracle_ego_belief_image(belief, state).tobytes()
+        assert ego_belief_image(belief, states[0]).tobytes() == images[0].tobytes()
 
 
 class TestBeliefChannels:
