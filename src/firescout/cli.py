@@ -87,8 +87,7 @@ def _out_dir(args) -> str:
     return out
 
 
-def cmd_train(args) -> int:
-    sc = _resolve_scenario(args)
+def cmd_train(args, sc: Scenario) -> int:
     out = _out_dir(args)
     training = profile_training_config(args.profile, args.approach, args.iterations)
     net_config = profile_net_config(args.profile, args.approach, sc.sim)
@@ -110,8 +109,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_evaluate(args) -> int:
-    sc = _resolve_scenario(args)
+def cmd_evaluate(args, sc: Scenario) -> int:
     out = _out_dir(args)
     entries = run_suite(sc, args.episodes, out_dir=out)
     for e in entries:
@@ -121,8 +119,8 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_baseline(args) -> int:
-    sc = replace(_resolve_scenario(args), controller="receding-horizon")
+def cmd_baseline(args, sc: Scenario) -> int:
+    sc = replace(sc, controller="receding-horizon")
     out = _out_dir(args)
     entries = run_suite(sc, args.episodes, out_dir=out)
     e = entries[0]
@@ -131,8 +129,7 @@ def cmd_baseline(args) -> int:
     return 0
 
 
-def cmd_render(args) -> int:
-    sc = _resolve_scenario(args)
+def cmd_render(args, sc: Scenario) -> int:
     if args.snapshot_every is not None:
         sc = _override(sc, snapshot_every_steps=args.snapshot_every)
     out = _out_dir(args)
@@ -146,10 +143,17 @@ def cmd_render(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    sc = None
     try:
-        return args.func(args)
+        sc = _resolve_scenario(args)
+        return args.func(args, sc)
     except (ScenarioError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        size = "" if sc is None else f" = {sc.sim.grid_width} x {sc.sim.grid_height}"
+        print(f"error: {args.command}: out of memory "
+              f"(grid.width_cells x grid.height_cells{size})", file=sys.stderr)
         return 2
 
 

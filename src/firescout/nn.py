@@ -1,11 +1,19 @@
 """Dual-branch action-value network with hand-rolled backprop and AdaMax.
 
 The network scores the two bank actions from an image plus five continuous
-inputs. A convolutional branch (conv / relu / 2x2 max-pool stages, then
+inputs. A convolutional branch (conv / 2x2 max-pool / relu stages, then
 dense layers) digests the image; a stack of dense layers digests the
 continuous variables; the branches are concatenated and finished by dense
 layers down to one output per action. All hidden activations are
 rectified linear, the output is linear.
+
+Each stage pools before it rectifies, so the ReLU and its mask work on a
+map a quarter the size of the conv output. The order changes no bit:
+ReLU is monotone, so relu(max(a, b)) == max(relu(a), relu(b)) exactly
+(numpy's relu never returns -0.0). A window whose maximum is positive
+sends its gradient to the same position either way; in a window of values
+<= 0 the gradient is a zero, which may land on another position but adds
+nothing to the sums that follow.
 
 Everything is plain numpy. Plain ``forward`` calls are pure and safe to
 run concurrently; training uses an explicit cache-passing path so no
@@ -61,6 +69,16 @@ class Relu:
         return dout * cache, []
 
 
+# Conv2D.backward builds dx one kernel tap at a time when c > 1 and each
+# tap's (n*h*w, c) block of the dcols product takes more than this many
+# bytes, else from the whole (n*h*w, k*k*c) product. Each tap's GEMM then has
+# the same bits as its columns of the whole product. Smaller or one-column
+# (c == 1) products may go to other BLAS kernels that sum in another order:
+# numpy sends a one-column product to gemv, and OpenBLAS sends products of at
+# most 1,200 entries with 32 or more terms to a small-matrix kernel.
+_TAP_MIN_BYTES = 1 << 17
+
+
 class Conv2D:
     """3x3-style convolution, stride 1, zero padding preserving spatial size.
 
@@ -100,7 +118,8 @@ class Conv2D:
         k = self.kernel
         cols = self._columns(x)
         w2 = self.weight.reshape(k * k * c, -1)
-        y = cols.reshape(-1, k * k * c) @ w2 + self.bias
+        y = cols.reshape(-1, k * k * c) @ w2
+        y += self.bias
         return y.reshape(n, h, w, -1), (cols, x.shape)
 
     def backward(self, cache, dout, input_grad=True):
@@ -116,11 +135,18 @@ class Conv2D:
         db = dflat.sum(axis=0)
         if not input_grad:
             return None, [dw, db]
-        dcols = (dflat @ self.weight.reshape(kkc, n_out).T).reshape(n, h, w, k, k, c)
+        if c > 1 and dflat.shape[0] * c * dflat.itemsize > _TAP_MIN_BYTES:
+            def tap(di, dj):
+                return (dflat @ self.weight[di, dj].T).reshape(n, h, w, c)
+        else:
+            dcols = (dflat @ self.weight.reshape(kkc, n_out).T).reshape(n, h, w, k, k, c)
+
+            def tap(di, dj):
+                return dcols[:, :, :, di, dj, :]
         dxp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=dout.dtype)
         for di in range(k):
             for dj in range(k):
-                dxp[:, di:di + h, dj:dj + w, :] += dcols[:, :, :, di, dj, :]
+                dxp[:, di:di + h, dj:dj + w, :] += tap(di, dj)
         return dxp[:, pad:pad + h, pad:pad + w, :], [dw, db]
 
 
@@ -224,8 +250,8 @@ class QNetwork:
         for _ in range(config.conv_stages):
             self.image_layers += [
                 Conv2D(channels, config.conv_filters, rng, dtype, config.kernel_size),
-                Relu(),
                 MaxPool2(),
+                Relu(),
             ]
             channels = config.conv_filters
             h, w = h // 2, w // 2
@@ -347,7 +373,9 @@ class QNetwork:
         """Mean squared error of the taken actions' values against targets.
 
         Returns (loss, gradients) with gradients ordered like parameters().
-        Only the taken action's output contributes for each sample.
+        Only the taken action's output contributes for each sample. Each
+        image layer's forward cache is dropped once its backward pass has
+        run, so the activations are freed as the pass goes.
         """
         images = np.asarray(images, dtype=self.dtype)
         conts = np.asarray(conts, dtype=self.dtype)
@@ -382,6 +410,7 @@ class QNetwork:
                 d_img, g = self.image_layers[0].backward(caches[0], d_img, input_grad=False)
             else:
                 d_img, g = self.image_layers[i].backward(caches[i], d_img)
+            caches[i] = None
             grads_rev.append(g)
 
         grads = [g for layer_grads in reversed(grads_rev) for g in layer_grads]

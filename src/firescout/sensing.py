@@ -10,6 +10,7 @@ aircraft passes within the visit radius.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,14 +139,29 @@ class BeliefMap:
 
 
 def _visited_mask(belief: BeliefMap, aircraft: list[AircraftState]) -> np.ndarray:
-    cs = belief.cell_size
-    cx = (np.arange(belief.width) + 0.5) * cs
-    cy = (np.arange(belief.height) + 0.5) * cs
-    visited = np.zeros((belief.height, belief.width), dtype=bool)
-    r2 = VISIT_RADIUS * VISIT_RADIUS
-    for a in aircraft:
-        d2 = (cx[None, :] - a.x) ** 2 + (cy[:, None] - a.y) ** 2
-        visited |= d2 <= r2
+    """Cells whose centers lie within VISIT_RADIUS of any aircraft.
+
+    Each aircraft's disk is tested only over a square window of cells
+    around it, shifted to lie inside the map (the whole axis where the map
+    is narrower), with the distances a full-grid pass computes. All the
+    windows are one array.
+    """
+    h, w, cs = belief.height, belief.width, belief.cell_size
+    visited = np.zeros((h, w), dtype=bool)
+    if not aircraft:
+        return visited
+    # a disk's cells lie within reach - 1 cells of the aircraft's own cell
+    reach = math.ceil(VISIT_RADIUS / cs) + 1
+    sy, sx = min(2 * reach + 1, h), min(2 * reach + 1, w)
+    pos = np.array([(a.y, a.x) for a in aircraft])    # (n, 2): row axis, column axis
+    lo = np.array([(min(max(math.floor(a.y / cs) - reach, 0), h - sy),
+                    min(max(math.floor(a.x / cs) - reach, 0), w - sx)) for a in aircraft])
+    rows = lo[:, :1] + np.arange(sy)                  # (n, window rows)
+    cols = lo[:, 1:] + np.arange(sx)                  # (n, window columns)
+    dy2 = ((rows + 0.5) * cs - pos[:, :1]) ** 2
+    dx2 = ((cols + 0.5) * cs - pos[:, 1:]) ** 2
+    near = dx2[:, None, :] + dy2[:, :, None] <= VISIT_RADIUS * VISIT_RADIUS
+    visited.reshape(-1)[(rows[:, :, None] * w + cols[:, None, :])[near]] = True
     return visited
 
 

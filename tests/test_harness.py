@@ -5,6 +5,8 @@ import functools
 import json
 import math
 import os
+import subprocess
+import sys
 from typing import get_args, get_type_hints
 
 import numpy as np
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import firescout
 from firescout.env import SimConfig
 from firescout.fire import ArcSeed, CircularSeed, PropagationParams, TShapeSeed, Wind
 from firescout.harness import (
@@ -510,6 +513,34 @@ class TestBadInputExitsTwo:
         assert "weights_path" in out.err and str(wpath) in out.err
         assert "Traceback" not in out.err
         assert "mean" not in out.out
+
+
+    @pytest.mark.parametrize("command", [["render"], ["evaluate", "--episodes", "2"],
+                                         ["baseline", "--episodes", "2"],
+                                         ["train", "--iterations", "2"]],
+                             ids=["render", "evaluate", "baseline", "train"])
+    def test_out_of_memory_exits_two(self, tmp_path, command):
+        """A grid too large for the process's memory ends with status 2 and
+        one line naming the command and the grid size fields. The CLI runs
+        in a child process under a 1 GiB address-space limit."""
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(tiny_dict(grid={"width_cells": 1_000_000_000,
+                                                   "height_cells": 10,
+                                                   "cell_size_m": 10.0})))
+        code = ("import resource, sys\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+                "from firescout import cli\n"
+                "sys.exit(cli.main(sys.argv[1:]))\n")
+        package_root = os.path.dirname(os.path.dirname(os.path.abspath(firescout.__file__)))
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+            p for p in (package_root, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run([sys.executable, "-c", code, *command, "--config", str(path),
+                               "--out", str(tmp_path / "out")],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.splitlines() == [
+            f"error: {command[0]}: out of memory "
+            "(grid.width_cells x grid.height_cells = 1000000000 x 10)"]
 
 
 # -- the field table --------------------------------------------------------

@@ -2,19 +2,28 @@
 
 Oracles: direct (non-im2col) convolution loops, central finite
 differences in float64, hand-counted parameter totals for the two
-full-scale configurations (4,855,474 and 726,898), and reference kernels
-(slice-concatenate im2col, argmax pooling, a full image backward pass)
-that the layers must match bit for bit.
+full-scale configurations (4,855,474 and 726,898), reference kernels
+(slice-concatenate im2col, argmax pooling, a full image backward pass
+through the whole dcols product) and the conv / relu / pool stage order,
+which the layers and networks must match bit for bit, and a pinned
+weight file.
 """
 
+import hashlib
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import firescout
 from firescout.nn import (
+    _TAP_MIN_BYTES,
     AdaMax,
     Conv2D,
     Dense,
@@ -137,11 +146,17 @@ class OracleMaxPool2(MaxPool2):
 
 def oracle_network(config, seed, dtype=np.float32):
     """The network QNetwork(config, default_rng(seed)) builds, on the
-    reference kernels; its first conv layer also computes the unused dx."""
+    reference kernels and in the stage order conv / relu / pool: ReLU runs
+    on the full-resolution map, dx comes from the whole dcols product, and
+    the first conv layer also computes the unused dx."""
     net = QNetwork(config, np.random.default_rng(seed), dtype=dtype)
-    oracle_class = {Conv2D: OracleConv2D, MaxPool2: OracleMaxPool2}
-    for layer in net.image_layers:
-        layer.__class__ = oracle_class.get(type(layer), type(layer))
+    layers = net.image_layers
+    for i, layer in enumerate(layers):
+        if type(layer) is Conv2D:
+            pool, relu = layers[i + 1:i + 3]
+            assert type(pool) is MaxPool2 and type(relu) is Relu
+            layer.__class__, pool.__class__ = OracleConv2D, OracleMaxPool2
+            layers[i + 1:i + 3] = [relu, pool]
     return net
 
 
@@ -230,6 +245,30 @@ class TestConv2D:
         for got, also, want in zip(grads, param_grads, want_grads):
             assert_same_bits(got, want)
             assert_same_bits(also, want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(c=st.sampled_from([1, 2, 8, 64]), k=st.sampled_from([3, 5]),
+           n_out=st.sampled_from([1, 7, 8, 32, 64]), dtype=st.sampled_from([np.float32, np.float64]),
+           h=st.integers(3, 12), w=st.integers(3, 12), extra=st.integers(0, 2),
+           seed=st.integers(0, 2**32 - 1))
+    def test_large_batches_bit_identical_to_oracle(self, c, k, n_out, dtype, h, w, extra, seed):
+        """Batches whose per-tap products are past the size from which dx
+        is built one kernel tap at a time (for c > 1)."""
+        itemsize = np.dtype(dtype).itemsize
+        n = _TAP_MIN_BYTES // (h * w * c * itemsize) + 1 + extra
+        assert n * h * w * c * itemsize > _TAP_MIN_BYTES
+        rng = np.random.default_rng(seed)
+        x = rng.integers(-1, 2, size=(n, h, w, c)).astype(dtype)
+        layer = Conv2D(c, n_out, np.random.default_rng(seed), dtype, k)
+        oracle = OracleConv2D(c, n_out, np.random.default_rng(seed), dtype, k)
+        y, cache = layer.forward_cached(x)
+        want_y, want_cache = oracle.forward_cached(x)
+        assert_same_bits(y, want_y)
+        dout = upstream_gradient(rng, y.shape, dtype)
+        (dx, grads), (want_dx, want_grads) = (layer.backward(cache, dout),
+                                              oracle.backward(want_cache, dout))
+        for got, want in zip([dx, *grads], [want_dx, *want_grads]):
+            assert_same_bits(got, want)
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError):
@@ -492,16 +531,44 @@ DESK = dict(conv_stages=2, conv_filters=8, image_dense=(64, 32),
             continuous_dense=(32, 32), merge_dense=(64,))
 
 
+def conv_network_case(c, stages, h, w, filters, n, seed):
+    """A small conv network config, its conv biases and a training batch.
+
+    Image values are -1, -0.0, 0 and 1, so windows tie exactly and hold
+    negative zeros; each filter's bias is -2, 0 or 0.5, so whole pooling
+    windows are negative, or tie at 0 where the image is blank.
+    """
+    config = NetworkConfig(image_shape=(h, w, c), conv_stages=stages, conv_filters=filters,
+                           image_dense=(16,), continuous_dense=(8,), merge_dense=(8,))
+    rng = np.random.default_rng(seed)
+    images = rng.choice(np.array([-1.0, -0.0, 0.0, 1.0], np.float32), size=(n, h, w, c))
+    biases = [rng.choice(np.array([-2.0, 0.0, 0.5], np.float32), size=filters)
+              for _ in range(stages)]
+    batch = (images, rng.normal(size=(n, 5)).astype(np.float32), rng.integers(0, 2, n),
+             rng.normal(size=n).astype(np.float32))
+    return config, biases, batch
+
+
+@st.composite
+def conv_networks(draw):
+    c = draw(st.sampled_from([1, 2, 8, 64]))
+    stages = draw(st.integers(1, 2))
+    h, w = draw(st.integers(2 ** stages, 21)), draw(st.integers(2 ** stages, 21))
+    return conv_network_case(c, stages, h, w, draw(st.sampled_from([2, 8, 32])),
+                             draw(st.sampled_from([1, 3, 16])), draw(st.integers(0, 2**32 - 1)))
+
+
 class TestNetworkBitIdentity:
     """Whole networks on the layer kernels against the same networks on
     the reference kernels: the same bits, batch by batch."""
 
-    @pytest.mark.parametrize("config", [
-        NetworkConfig(image_shape=(10, 8, 1), **DESK),     # desk observation
-        NetworkConfig(image_shape=(20, 20, 2), **DESK),    # desk belief
-        NetworkConfig(image_shape=(40, 30, 1)),            # paper observation
-    ], ids=["desk-observation", "desk-belief", "paper-observation"])
-    def test_losses_gradients_and_values(self, config, monkeypatch):
+    @pytest.mark.parametrize("config, batch", [
+        (NetworkConfig(image_shape=(10, 8, 1), **DESK), 64),     # desk observation
+        (NetworkConfig(image_shape=(20, 20, 2), **DESK), 64),    # desk belief
+        (NetworkConfig(image_shape=(40, 30, 1)), 64),            # paper observation
+        (NetworkConfig(image_shape=(100, 100, 2)), 8),           # paper belief
+    ], ids=["desk-observation", "desk-belief", "paper-observation", "paper-belief"])
+    def test_losses_gradients_and_values(self, config, batch, monkeypatch):
         net, oracle = QNetwork(config, np.random.default_rng(40)), oracle_network(config, 40)
         input_grads = []  # (layer, input_grad) of each Conv2D.backward call
         backward = Conv2D.backward
@@ -513,10 +580,10 @@ class TestNetworkBitIdentity:
         monkeypatch.setattr(Conv2D, "backward", recording_backward)
         rng = np.random.default_rng(41)
         # 0/1 images: pooling windows full of exact ties
-        images = rng.integers(0, 2, size=(64,) + config.image_shape).astype(np.float32)
-        conts = rng.normal(size=(64, 5)).astype(np.float32)
-        actions = rng.integers(0, 2, 64)
-        targets = rng.normal(size=64).astype(np.float32)
+        images = rng.integers(0, 2, size=(batch,) + config.image_shape).astype(np.float32)
+        conts = rng.normal(size=(batch, 5)).astype(np.float32)
+        actions = rng.integers(0, 2, batch)
+        targets = rng.normal(size=batch).astype(np.float32)
         loss, grads = net.loss_and_gradients(images, conts, actions, targets)
         convs = [layer for layer in net.image_layers if isinstance(layer, Conv2D)]
         # only the first conv layer, whose input is the image, skips dx
@@ -529,6 +596,38 @@ class TestNetworkBitIdentity:
         for rows in (1, 3, 64):
             assert_same_bits(net.forward_batch(images[:rows], conts[:rows]),
                              oracle.forward_batch(images[:rows], conts[:rows]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=conv_networks(), seed=st.integers(0, 2**32 - 1))
+    # the second stage's per-tap products pass _TAP_MIN_BYTES: dx tap by tap
+    @example(case=conv_network_case(64, 2, 21, 19, 32, 16, 0), seed=0)
+    @example(case=conv_network_case(1, 2, 19, 21, 32, 16, 1), seed=1)
+    def test_random_networks_match_oracle(self, case, seed):
+        config, biases, batch = case
+        net, oracle = QNetwork(config, np.random.default_rng(seed)), oracle_network(config, seed)
+        for model in (net, oracle):
+            convs = [layer for layer in model.image_layers if isinstance(layer, Conv2D)]
+            for layer, bias in zip(convs, biases):
+                layer.bias[...] = bias
+        assert (net.forward_batch(*batch[:2]).tobytes()
+                == oracle.forward_batch(*batch[:2]).tobytes())
+        loss, grads = net.loss_and_gradients(*batch)
+        want_loss, want_grads = oracle.loss_and_gradients(*batch)
+        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+        for got, want in zip(grads, want_grads, strict=True):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_relu_runs_on_pooled_maps(self):
+        net = QNetwork(NetworkConfig(image_shape=(20, 20, 2), **DESK), np.random.default_rng(46))
+        assert [type(layer) for layer in net.image_layers[:6]] == [Conv2D, MaxPool2, Relu] * 2
+        a = np.random.default_rng(47).random((4, 20, 20, 2)).astype(np.float32)
+        masks = []
+        for layer in net.image_layers[:6]:
+            a, cache = layer.forward_cached(a)
+            if isinstance(layer, Relu):
+                masks.append(cache.shape)
+        assert masks == [(4, 10, 10, 8), (4, 5, 5, 8)]
 
     def test_pool_cache_is_one_byte_per_output(self):
         net = QNetwork(NetworkConfig(image_shape=(20, 20, 2), **DESK), np.random.default_rng(42))
@@ -650,6 +749,23 @@ class TestSerialization:
         save_weights(net, b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_pinned_weight_file(self, tmp_path):
+        """A seeded network writes the same bytes as earlier versions, and
+        loaded back it scores the same: old weight files keep working."""
+        path = tmp_path / "w.bin"
+        save_weights(QNetwork(SMALL, np.random.default_rng(28)), path)
+        blob = path.read_bytes()
+        assert len(blob) == 2397
+        assert (hashlib.sha256(blob).hexdigest()
+                == "4c6144e34853462a3a09dce5a8b714e8aaad98dda65f28ed07e617316bc18339")
+        rng = np.random.default_rng(29)
+        images = rng.integers(0, 2, size=(3, 8, 6, 1)).astype(np.float32)
+        conts = rng.normal(size=(3, 5)).astype(np.float32)
+        np.testing.assert_allclose(load_weights(path).forward_batch(images, conts),
+                                   [[0.5527220368, 0.364831984],
+                                    [-0.3017809391, 0.3869483769],
+                                    [-0.2979581654, 0.2995770276]], rtol=1e-6)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
@@ -695,3 +811,60 @@ class TestSerialization:
         with pytest.raises(ValueError, match="bad architecture header") as err:
             load_weights(path)
         assert str(path) in str(err.value)
+
+
+def training_batch(config, n, seed):
+    rng = np.random.default_rng(seed)
+    return (rng.integers(0, 2, size=(n,) + config.image_shape).astype(np.float32),
+            rng.normal(size=(n, 5)).astype(np.float32), rng.integers(0, 2, n),
+            rng.normal(size=n).astype(np.float32))
+
+
+class TestStepMemoryAndDtype:
+    def test_paper_observation_gradient_peak(self):
+        """One loss_and_gradients at paper observation size (batch 64) keeps
+        at most 80 MB of arrays alive at once."""
+        config = NetworkConfig(image_shape=(40, 30, 1))
+        net = QNetwork(config, np.random.default_rng(50))
+        batch = training_batch(config, 64, 51)
+        tracemalloc.start()
+        try:
+            net.loss_and_gradients(*batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 80e6, f"peak {peak / 1e6:.1f} MB"
+
+    def test_paper_belief_step_peak_rss(self):
+        """A paper belief gradient step at batch 64 (target forward,
+        loss_and_gradients, AdaMax) peaks under 750 MB in a fresh process."""
+        code = ("import resource\n"
+                "import numpy as np\n"
+                "from firescout.nn import AdaMax, NetworkConfig, QNetwork\n"
+                "rng = np.random.default_rng(52)\n"
+                "net = QNetwork(NetworkConfig(image_shape=(100, 100, 2)), rng)\n"
+                "target, opt = net.clone(), AdaMax(net.parameters())\n"
+                "images = rng.integers(0, 2, size=(64, 100, 100, 2)).astype(np.float32)\n"
+                "conts = rng.normal(size=(64, 5)).astype(np.float32)\n"
+                "targets = target.forward_batch(images, conts).max(axis=1)\n"
+                "_, grads = net.loss_and_gradients(images, conts, rng.integers(0, 2, 64), targets)\n"
+                "opt.step(net.parameters(), grads)\n"
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+        package_root = os.path.dirname(os.path.dirname(os.path.abspath(firescout.__file__)))
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+            p for p in (package_root, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 750 * 1024, f"ru_maxrss {int(proc.stdout) / 1024:.0f} MB"
+
+    def test_gradients_and_updates_stay_float32(self):
+        config = NetworkConfig(image_shape=(20, 20, 2), **DESK)
+        net = QNetwork(config, np.random.default_rng(53))
+        opt = AdaMax(net.parameters())
+        for seed in (54, 55):
+            _, grads = net.loss_and_gradients(*training_batch(config, 16, seed))
+            assert [g.dtype for g in grads] == [np.float32] * len(net.parameters())
+            opt.step(net.parameters(), grads)
+            for arrays in (net.parameters(), opt.m, opt.u):
+                assert [a.dtype for a in arrays] == [np.float32] * len(grads)

@@ -25,6 +25,7 @@ from firescout.sensing import (
     ego_belief_images,
     render_observation,
     update_belief,
+    _visited_mask,
 )
 
 
@@ -212,6 +213,54 @@ class TestUpdateBelief:
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
             update_belief(fresh_belief(10, 10), blank_grid(9, 9), [])
+
+
+def oracle_visited_mask(belief, aircraft):
+    """Every aircraft against every cell center of the map."""
+    cs = belief.cell_size
+    cx = (np.arange(belief.width) + 0.5) * cs
+    cy = (np.arange(belief.height) + 0.5) * cs
+    visited = np.zeros((belief.height, belief.width), dtype=bool)
+    for a in aircraft:
+        d2 = (cx[None, :] - a.x) ** 2 + (cy[:, None] - a.y) ** 2
+        visited |= d2 <= VISIT_RADIUS * VISIT_RADIUS
+    return visited
+
+
+@st.composite
+def map_and_fleet(draw):
+    """A map and 0-4 aircraft: inside, on its edges, on cell edges and
+    centers, exactly one radius from a cell center, just off and far off."""
+    h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    cs = draw(st.sampled_from([0.5, 7.3, 10.0, 50.0, 150.0, 300.0]))
+
+    def coordinate(n):
+        extent = n * cs
+        return draw(st.one_of(
+            st.floats(-3 * VISIT_RADIUS, extent + 3 * VISIT_RADIUS),
+            st.sampled_from([0.0, extent, -VISIT_RADIUS, extent + VISIT_RADIUS,
+                             -1e6, 1e6]),
+            st.integers(-2, n + 2).map(lambda i: i * cs),
+            st.integers(-2, n + 2).map(lambda i: (i + 0.5) * cs + VISIT_RADIUS),
+            st.integers(-2, n + 2).map(lambda i: (i + 0.5) * cs - VISIT_RADIUS)))
+
+    fleet = [AircraftState(coordinate(w), coordinate(h))
+             for _ in range(draw(st.integers(0, 4)))]
+    return fresh_belief(h, w, cs), fleet
+
+
+class TestVisitedMask:
+    @settings(max_examples=400, deadline=None)
+    @given(case=map_and_fleet())
+    def test_equals_full_grid_oracle(self, case):
+        belief, fleet = case
+        assert np.array_equal(_visited_mask(belief, fleet), oracle_visited_mask(belief, fleet))
+
+    def test_disk_across_a_corner(self):
+        belief = fresh_belief(20, 20)
+        corner = [AircraftState(-50.0, 205.0)]    # off the map, beyond cell (19, 0)
+        got = _visited_mask(belief, corner)
+        assert got.any() and np.array_equal(got, oracle_visited_mask(belief, corner))
 
 
 class TestEgoBeliefImage:
