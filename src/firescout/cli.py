@@ -88,9 +88,14 @@ def _out_dir(args) -> str:
 
 
 def cmd_train(args, sc: Scenario) -> int:
-    out = _out_dir(args)
+    if args.iterations is not None and args.iterations < 0:
+        raise ScenarioError(f"--iterations: must be at least 0, got {args.iterations}")
+    if sc.sim.n_aircraft < 2:
+        raise ScenarioError(f"aircraft_count: pairwise training needs at least 2 "
+                            f"aircraft, got {sc.sim.n_aircraft}")
     training = profile_training_config(args.profile, args.approach, args.iterations)
     net_config = profile_net_config(args.profile, args.approach, sc.sim)
+    out = _out_dir(args)
     rng = np.random.default_rng(np.random.SeedSequence(sc.seed))
     net, curve = run_training(sc.sim, net_config, training, rng)
 

@@ -8,8 +8,9 @@ sums the pairwise Q-rows before the argmax. One QNetwork.forward_team
 call scores a whole decision step: the image branch runs once per
 aircraft, the continuous branch once per ordered pair.
 
-Evaluation always scores the accumulated discovery reward of the shared
-belief map, whatever inputs the flying network consumes.
+Evaluation flies env.play with a policy callable and always scores the
+accumulated discovery reward of the shared belief map, whatever inputs
+the flying network consumes.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aircraft import Action
-from .env import BELIEF, OBSERVATION, SimConfig, SurveillanceSim
+from .env import BELIEF, OBSERVATION, SimConfig, SurveillanceSim, play, random_policy
 from .nn import AdaMax, NetworkConfig, QNetwork, copy_weights
 
 
@@ -110,8 +111,10 @@ class TrainingConfig:
             raise ValueError("target_update_period must be at least 1")
         if self.approach not in (OBSERVATION, BELIEF):
             raise ValueError(f"unknown approach {self.approach!r}")
-        if self.prefill < 0 or self.replay_capacity < 1:
-            raise ValueError("invalid replay sizing")
+        if self.prefill < 0 or self.replay_capacity < self.batch_size:
+            raise ValueError("invalid replay sizing: prefill < 0 or replay_capacity < batch_size")
+        if self.eval_period is not None and self.eval_period < 1:
+            raise ValueError("eval_period must be at least 1")
         if self.eval_episodes < 1:
             raise ValueError("eval_episodes must be at least 1")
 
@@ -191,65 +194,52 @@ def mean_stderr(scores: list[float]) -> tuple[float, float]:
     return mean, float(arr.std(ddof=1) / np.sqrt(arr.size))
 
 
-def _greedy_actions(net: QNetwork, sim: SurveillanceSim, approach: str) -> list[Action]:
-    """Every aircraft's greedy action from one forward_team call."""
-    q = net.forward_team(sim.team_images(approach), sim.pair_inputs())
-    return [Action(int(a)) for a in np.argmax(q, axis=1)]
+@dataclass(frozen=True)
+class GreedyPolicy:
+    """Every aircraft's greedy action from one forward_team call on the
+    approach's images; draws no random numbers."""
+
+    net: QNetwork
+    approach: str
+
+    def __call__(self, sim: SurveillanceSim, action_rng=None) -> list[Action]:
+        q = self.net.forward_team(sim.team_images(self.approach), sim.pair_inputs())
+        return [Action(int(a)) for a in np.argmax(q, axis=1)]
 
 
-def _episode_discovery_score(sim: SurveillanceSim, act, rng: np.random.Generator) -> float:
-    """Roll one episode; act(sim) supplies the joint action each step."""
-    sim.reset(rng)
-    score = 0.0
-    while not sim.done:
-        result = sim.step(act(sim), rng)
-        score += sim.discovery_score(result.discovered)
-    return score
+def evaluate(sim_config: SimConfig, policy, episodes: int,
+             rng: np.random.Generator) -> tuple[float, float]:
+    """Mean and standard error of policy's accumulated discovery reward
+    over one episode per stream spawned from rng."""
+    if episodes < 1:
+        raise ValueError(f"episodes must be at least 1, got {episodes}")
+    sim = SurveillanceSim(sim_config)
+    scores = []
+    for ep_rng in rng.spawn(episodes):
+        sim.reset(ep_rng)
+        score = 0.0
+        for result in play(sim, policy, ep_rng):
+            score += sim.discovery_score(result.discovered)
+        scores.append(score)
+    return mean_stderr(scores)
 
 
 def evaluate_policy(net: QNetwork, sim_config: SimConfig, episodes: int,
                     rng: np.random.Generator) -> tuple[float, float]:
-    """Greedy rollouts; returns mean and standard error of the per-episode
-    accumulated discovery reward.
-
-    The approach is inferred from the network's input channels (1 =
-    polar observation, 2 = belief image). Greedy control consumes no
-    random numbers, so a given rng yields the same fire/spawn sequence
-    whichever network is being scored.
-    """
-    approach = _approach_for(net.config)
-    sim = SurveillanceSim(sim_config)
-    scores = []
-    for ep_rng in rng.spawn(episodes):
-        scores.append(_episode_discovery_score(
-            sim, lambda s: _greedy_actions(net, s, approach), ep_rng))
-    return mean_stderr(scores)
+    """evaluate with net's greedy policy, its approach inferred from the
+    network's input channels (1 = polar observation, 2 = belief image)."""
+    channels = net.config.image_shape[2]
+    if channels not in (1, 2):
+        raise ValueError(f"cannot infer approach from {channels}-channel input")
+    policy = GreedyPolicy(net, OBSERVATION if channels == 1 else BELIEF)
+    return evaluate(sim_config, policy, episodes, rng)
 
 
 def evaluate_random(sim_config: SimConfig, episodes: int,
                     rng: np.random.Generator) -> tuple[float, float]:
-    """Uniform-random policy under the same per-episode streams as
-    evaluate_policy; action draws come from a spawned side stream so the
-    environment sees identical randomness.
-    """
-    sim = SurveillanceSim(sim_config)
-    scores = []
-    for ep_rng in rng.spawn(episodes):
-        action_rng = ep_rng.spawn(1)[0]
-        scores.append(_episode_discovery_score(
-            sim,
-            lambda s: [Action(int(a)) for a in action_rng.integers(2, size=len(s.aircraft))],
-            ep_rng))
-    return mean_stderr(scores)
-
-
-def _approach_for(net_config: NetworkConfig) -> str:
-    channels = net_config.image_shape[2]
-    if channels == 1:
-        return OBSERVATION
-    if channels == 2:
-        return BELIEF
-    raise ValueError(f"cannot infer approach from {channels}-channel input")
+    """evaluate with the uniform-random policy: for a given rng, the same
+    fire and spawn draws as evaluate_policy."""
+    return evaluate(sim_config, random_policy, episodes, rng)
 
 
 def _check_run_config(sim_config: SimConfig, net_config: NetworkConfig,
@@ -267,13 +257,15 @@ def _check_run_config(sim_config: SimConfig, net_config: NetworkConfig,
 
 class _Collector:
     """Steps the simulator with epsilon-greedy self-play and emits the
-    per-pair transitions of each step.
+    per-pair transitions of each step. Its episodes run across gradient
+    steps and draw exploration from the environment stream, so it does
+    not fly env.play.
     """
 
     def __init__(self, sim: SurveillanceSim, net: QNetwork, approach: str,
                  bootstrap_on_truncation: bool):
         self.sim = sim
-        self.net = net
+        self.greedy = GreedyPolicy(net, approach)
         self.approach = approach
         self.bootstrap = bootstrap_on_truncation
         self._needs_reset = True
@@ -288,7 +280,7 @@ class _Collector:
         actions = [Action(int(rng.integers(2))) if eps > 0.0 and rng.random() < eps
                    else None for _ in sim.aircraft]
         if None in actions:
-            greedy = _greedy_actions(self.net, sim, self.approach)
+            greedy = self.greedy(sim)
             actions = [g if a is None else a for a, g in zip(actions, greedy)]
         result = sim.step(actions, rng)
         rewards = [sim.reward(i, self.approach, result.discovered)

@@ -15,6 +15,9 @@ Each team state is sensed once: one sample_polar or ego_belief_images
 call renders every aircraft, and each ordered pair's relative geometry
 is computed once. The network inputs and the rewards all read that one
 result.
+
+play flies every evaluation, suite and render episode. A policy is any
+callable (sim, action_rng) -> list[Action], one action per aircraft.
 """
 
 from __future__ import annotations
@@ -251,3 +254,17 @@ class SurveillanceSim:
     def discovery_score(self, discovered: int) -> float:
         """The evaluation metric's per-step increment (always >= 0)."""
         return self.config.weights.discovery_reward * discovered
+
+
+def play(sim: SurveillanceSim, policy, rng: np.random.Generator):
+    """Fly the episode sim was reset to, yielding each StepResult. The
+    policy draws from a stream spawned from rng; spawning draws nothing,
+    so every policy sees the same fire, fuel and spawn draws."""
+    action_rng = rng.spawn(1)[0]
+    while not sim.done:
+        yield sim.step(policy(sim, action_rng), rng)
+
+
+def random_policy(sim: SurveillanceSim, action_rng: np.random.Generator) -> list[Action]:
+    """Each aircraft banks left or right uniformly at random."""
+    return [Action(int(a)) for a in action_rng.integers(2, size=len(sim.aircraft))]

@@ -6,9 +6,11 @@ deterministic: per-episode random streams are spawned from the master
 seed, CSV floats are written with repr so rereads are exact, and no
 artifact embeds a timestamp.
 
-The cross-controller score of an episode is the accumulated discovery
-reward of the shared belief map; the per-aircraft reward column logs
-whatever quantity the flying controller itself optimizes.
+Every controller is a policy callable flown by env.play, the same
+episode engine that training evaluation uses. The cross-controller
+score of an episode is the accumulated discovery reward of the shared
+belief map; the per-aircraft reward column logs the reward of the
+controller's approach in the CONTROLLERS table.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from .aircraft import Action, AircraftState
-from .dqn import TrainingConfig, _greedy_actions, mean_stderr, \
+from .dqn import GreedyPolicy, TrainingConfig, mean_stderr, \
     select_action_multi  # noqa: F401 (the benchmark's tracer wraps it here)
-from .env import BELIEF, OBSERVATION, SimConfig, SurveillanceSim
+from .env import BELIEF, OBSERVATION, SimConfig, SurveillanceSim, play, random_policy
 from .fire import ArcSeed, CircularSeed, FireGrid, SeedPattern, TShapeSeed, \
     _seed_cells, burning_channel_u8
 from .nn import NetworkConfig, QNetwork, load_weights
@@ -34,7 +36,10 @@ from .pgm import write_pgm
 from .receding_horizon import RHConfig, RHController, rh_step
 from .sensing import BeliefMap, belief_channels_u8
 
-CONTROLLERS = ("observation-net", "belief-net", "receding-horizon", "random")
+# Controller -> the approach whose reward its episode CSV logs. A net
+# controller also reads that approach's images.
+CONTROLLERS = {"observation-net": OBSERVATION, "belief-net": BELIEF,
+               "receding-horizon": OBSERVATION, "random": BELIEF}
 NET_CONTROLLERS = ("observation-net", "belief-net")
 
 
@@ -85,7 +90,7 @@ _FIELDS = {
     "reward_weights.lambda_prox_belief": ("sim.weights.lambda_prox_belief", "[0, inf)"),
     "reward_weights.discovery_reward": ("sim.weights.discovery_reward", "[0, inf)"),
     "rho_scale_m": ("sim.rho_scale", "(0, inf)"),
-    "controller": ("controller", CONTROLLERS),
+    "controller": ("controller", tuple(CONTROLLERS)),
     "weights_path": ("weights_path", None),
     "receding_horizon.horizon_steps": ("rh.horizon_steps", "[2, inf)"),
     "receding_horizon.execute_steps": ("rh.execute_steps",
@@ -256,43 +261,17 @@ def save_scenario(path, sc: Scenario) -> None:
 
 # -- controllers ------------------------------------------------------------
 
-class _RandomPolicy:
-    def start(self, sim: SurveillanceSim, action_rng) -> None:
-        pass
-
-    def actions(self, sim: SurveillanceSim, action_rng) -> list[Action]:
-        return [Action(int(a)) for a in action_rng.integers(2, size=len(sim.aircraft))]
-
-
-class _NetPolicy:
-    def __init__(self, net: QNetwork, approach: str):
-        self.net = net
-        self.approach = approach
-
-    def start(self, sim, action_rng) -> None:
-        if len(sim.aircraft) < 2:
-            raise ScenarioError(
-                "aircraft_count: network controllers need at least 2 aircraft")
-
-    def actions(self, sim: SurveillanceSim, action_rng) -> list[Action]:
-        return _greedy_actions(self.net, sim, self.approach)
-
-
 class _RHPolicy:
-    def __init__(self, cfg: RHConfig):
+    """One receding-horizon planner per aircraft, for one episode."""
+
+    def __init__(self, cfg: RHConfig, n_aircraft: int):
         self.cfg = cfg
-        self.controllers: list[RHController] = []
+        self.controllers = [RHController() for _ in range(n_aircraft)]
 
-    def start(self, sim, action_rng) -> None:
-        self.controllers = [RHController() for _ in sim.aircraft]
-
-    def actions(self, sim: SurveillanceSim, action_rng) -> list[Action]:
-        out = []
-        for i, ctrl in enumerate(self.controllers):
-            peers = [sim.aircraft[j] for j in sim.peer_indices(i)]
-            out.append(rh_step(ctrl, sim.grid, sim.aircraft[i], peers,
-                               self.cfg, action_rng))
-        return out
+    def __call__(self, sim: SurveillanceSim, action_rng) -> list[Action]:
+        return [rh_step(ctrl, sim.grid, sim.aircraft[i],
+                        [sim.aircraft[j] for j in sim.peer_indices(i)], self.cfg, action_rng)
+                for i, ctrl in enumerate(self.controllers)]
 
 
 def _load_net(path, controller: str) -> QNetwork:
@@ -305,28 +284,25 @@ def _load_net(path, controller: str) -> QNetwork:
 
 
 def _make_policy(sc: Scenario, net: QNetwork | None):
+    """A fresh policy callable for one episode of sc.controller."""
     if sc.controller == "random":
-        return _RandomPolicy()
+        return random_policy
     if sc.controller == "receding-horizon":
-        return _RHPolicy(sc.rh)
+        return _RHPolicy(sc.rh, sc.sim.n_aircraft)
     if sc.controller in NET_CONTROLLERS:
+        if sc.sim.n_aircraft < 2:
+            raise ScenarioError(
+                "aircraft_count: network controllers need at least 2 aircraft")
         if net is None:
             net = _load_net(sc.weights_path, sc.controller)
-        approach = OBSERVATION if sc.controller == "observation-net" else BELIEF
+        approach = CONTROLLERS[sc.controller]
         expected = sc.sim.image_shape(approach)
         if net.config.image_shape != expected:
             raise ScenarioError(
                 f"weights_path: network input {net.config.image_shape} does not "
                 f"match this scenario's {approach} image {expected}")
-        return _NetPolicy(net, approach)
+        return GreedyPolicy(net, approach)
     raise ScenarioError(f"controller: unknown controller {sc.controller!r}")
-
-
-def _policy_reward(sim: SurveillanceSim, controller: str, i: int,
-                   discovered: int) -> float:
-    if controller in ("observation-net", "receding-horizon"):
-        return sim.observation_reward(i)
-    return sim.belief_reward(i, discovered)
 
 
 # -- episodes ---------------------------------------------------------------
@@ -353,19 +329,16 @@ class EpisodeRecord:
 
 def run_episode(sc: Scenario, rng: np.random.Generator | None = None,
                 net: QNetwork | None = None) -> EpisodeRecord:
-    """One full episode; deterministic for a given scenario and rng seed.
-
-    The side stream for controller randomness is spawned before the
-    environment consumes anything, so every controller sees the same
-    fire, fuel and spawn draws.
+    """One full episode flown by env.play; deterministic for a given
+    scenario and rng seed, and every controller sees the same fire, fuel
+    and spawn draws.
     """
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence(sc.seed))
     policy = _make_policy(sc, net)
-    action_rng = rng.spawn(1)[0]
+    approach = CONTROLLERS[sc.controller]
     sim = SurveillanceSim(sc.sim)
     sim.reset(rng)
-    policy.start(sim, action_rng)
 
     record = EpisodeRecord(
         controller=sc.controller, n_aircraft=sc.sim.n_aircraft,
@@ -374,16 +347,13 @@ def run_episode(sc: Scenario, rng: np.random.Generator | None = None,
         snapshots=[Snapshot(0, sim.grid.copy(), sim.belief.copy())])
 
     total = 0.0
-    while not sim.done:
-        acts = policy.actions(sim, action_rng)
-        result = sim.step(acts, rng)
-        step_rewards = tuple(_policy_reward(sim, sc.controller, i, result.discovered)
-                             for i in range(len(sim.aircraft)))
+    for result in play(sim, policy, rng):
         inc = sim.discovery_score(result.discovered)
         total += inc
         record.times_s.append(sim.step_index * sc.sim.dt)
         record.states.append(result.aircraft)
-        record.rewards.append(step_rewards)
+        record.rewards.append(tuple(sim.reward(i, approach, result.discovered)
+                                    for i in range(len(sim.aircraft))))
         record.discovery.append(inc)
         record.cumulative.append(total)
         if (sc.snapshot_every_steps is not None

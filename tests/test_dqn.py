@@ -125,6 +125,21 @@ class TestEpsilon:
         with pytest.raises(ValueError):
             TrainingConfig(total_iterations=10, gamma=1.0)
 
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"eval_period": 0}, "eval_period"),
+        ({"eval_period": -3}, "eval_period"),
+        ({"batch_size": 64, "replay_capacity": 63}, "replay_capacity"),
+    ], ids=["eval-period-0", "eval-period-negative", "replay-below-batch"])
+    def test_invalid_schedule_rejected(self, kwargs, message):
+        """Rejected when built, not after the prefill has run."""
+        with pytest.raises(ValueError, match=message):
+            TrainingConfig(total_iterations=10, **kwargs)
+
+    def test_smallest_valid_schedule_accepted(self):
+        cfg = TrainingConfig(total_iterations=10, eval_period=1, batch_size=8,
+                             replay_capacity=8)
+        assert cfg.eval_period == 1 and cfg.replay_capacity == cfg.batch_size
+
 
 class TestSelectAction:
     def state(self):
@@ -485,6 +500,14 @@ class TestEvaluation:
         a = evaluate_policy(net, small_sim_config(), 3, np.random.default_rng(2))
         b = evaluate_policy(net, small_sim_config(), 3, np.random.default_rng(2))
         assert a == b
+
+    @pytest.mark.parametrize("episodes", [0, -1])
+    def test_no_episodes_rejected(self, episodes):
+        net = QNetwork(small_net_config(), np.random.default_rng(0))
+        with pytest.raises(ValueError, match="episodes"):
+            evaluate_policy(net, small_sim_config(), episodes, np.random.default_rng(1))
+        with pytest.raises(ValueError, match="episodes"):
+            evaluate_random(small_sim_config(), episodes, np.random.default_rng(1))
 
     def test_random_evaluation_deterministic_and_nonnegative(self):
         a = evaluate_random(small_sim_config(), 4, np.random.default_rng(3))

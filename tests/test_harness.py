@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import firescout
+from firescout.dqn import evaluate_policy, evaluate_random, mean_stderr
 from firescout.env import SimConfig
 from firescout.fire import ArcSeed, CircularSeed, PropagationParams, TShapeSeed, Wind
 from firescout.harness import (
@@ -309,6 +310,45 @@ class TestRunEpisode:
         assert all(r < 0.0 for step in record.rewards for r in step)
 
 
+def tiny_net(approach: str) -> QNetwork:
+    """A seeded network for tiny_dict's belief or observation images."""
+    shape = (10, 10, 2) if approach == "belief" else (4, 4, 1)
+    return QNetwork(NetworkConfig(image_shape=shape, conv_stages=1, conv_filters=2,
+                                  image_dense=(8,), continuous_dense=(8,),
+                                  merge_dense=(8,)), np.random.default_rng(0))
+
+
+class TestOneEngine:
+    """Training evaluation and suite episodes are the same episodes: for a
+    seeded rng, dqn's evaluate_* return mean_stderr of run_episode's
+    scores over the streams spawned from that rng."""
+
+    EPISODES = 4
+    # 10 s, not tiny_dict's 3 s: long enough that the score depends on
+    # which action stream the random policy draws from.
+    SCENARIO = tiny_dict(horizon_seconds=10.0)
+
+    def episode_scores(self, sc, seed, net=None):
+        return [run_episode(sc, rng=child, net=net).total_score
+                for child in np.random.default_rng(seed).spawn(self.EPISODES)]
+
+    def test_random_matches_random_controller(self):
+        sc = scenario_from_dict(self.SCENARIO)
+        scores = self.episode_scores(sc, 5)
+        assert len(set(scores)) > 1  # episodes differ, so a shifted stream shows
+        assert evaluate_random(sc.sim, self.EPISODES, np.random.default_rng(5)) == \
+            mean_stderr(scores)
+
+    @pytest.mark.parametrize("approach", ["belief", "observation"])
+    def test_greedy_matches_net_controller(self, approach):
+        net = tiny_net(approach)
+        sc = dataclasses.replace(scenario_from_dict(self.SCENARIO),
+                                 controller=f"{approach}-net")
+        scores = self.episode_scores(sc, 6, net=net)
+        assert evaluate_policy(net, sc.sim, self.EPISODES, np.random.default_rng(6)) == \
+            mean_stderr(scores)
+
+
 class TestRunSuite:
     def test_one_episode_rejected(self):
         sc = scenario_from_dict(tiny_dict())
@@ -493,6 +533,32 @@ class TestBadInputExitsTwo:
         assert code == 2
         assert field in out.err
         assert "Traceback" not in out.err
+
+    @pytest.mark.parametrize("flags,override,field", [
+        (["--iterations", "-1"], {}, "--iterations"),
+        (["--iterations", "2"], {"aircraft_count": 1}, "aircraft_count"),
+    ], ids=["negative-iterations", "one-aircraft"])
+    def test_bad_training_input(self, tmp_path, capsys, flags, override, field):
+        """Refused before the out directory is made."""
+        code, out = self.run_cli(tmp_path, capsys, ["train", *flags], tiny_dict(**override))
+        assert code == 2
+        assert field in out.err
+        assert "Traceback" not in out.err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("approach", ["belief", "observation"])
+    @pytest.mark.parametrize("command", [["evaluate", "--episodes", "2"], ["render"]],
+                             ids=["evaluate", "render"])
+    def test_net_controller_with_one_aircraft(self, tmp_path, capsys, approach, command):
+        wpath = tmp_path / "weights.bin"
+        save_weights(tiny_net(approach), wpath)
+        config = tiny_dict(controller=f"{approach}-net", weights_path=str(wpath),
+                           aircraft_count=1)
+        code, out = self.run_cli(tmp_path, capsys, command, config)
+        assert code == 2
+        assert "aircraft_count" in out.err
+        assert "Traceback" not in out.err
+        assert "mean" not in out.out
 
     @pytest.mark.parametrize("damage", ["truncated", "junk header"])
     def test_bad_weights_file(self, tmp_path, capsys, damage):
