@@ -11,8 +11,8 @@ from .fire import ArcSeed, CircularSeed, FireGrid, PropagationParams, \
     new_grid, pre_grow, step_fire
 from .nn import AdaMax, NetworkConfig, QNetwork, copy_weights, load_weights, \
     save_weights
-from .dqn import ReplayBuffer, TrainingConfig, Trainer, Transition, epsilon, \
-    evaluate_policy, evaluate_random, run_training, select_action_multi
+from .dqn import ReplayBuffer, TrainingConfig, Trainer, epsilon, evaluate_policy, \
+    evaluate_random, run_training, select_action_multi
 from .harness import EpisodeRecord, Scenario, ScenarioError, desk_scenario, \
     load_scenario, paper_scenario, render_record, run_episode, run_suite, \
     save_scenario, scenario_from_dict, scenario_to_dict
@@ -33,7 +33,7 @@ __all__ = [
     "TShapeSeed", "Wind", "apply_seed", "ignition_probability_map", "new_grid",
     "pre_grow", "step_fire",
     "AdaMax", "NetworkConfig", "QNetwork", "copy_weights", "load_weights", "save_weights",
-    "ReplayBuffer", "TrainingConfig", "Trainer", "Transition", "epsilon",
+    "ReplayBuffer", "TrainingConfig", "Trainer", "epsilon",
     "evaluate_policy", "evaluate_random", "run_training", "select_action_multi",
     "EpisodeRecord", "Scenario", "ScenarioError", "desk_scenario", "load_scenario",
     "paper_scenario", "render_record", "run_episode", "run_suite", "save_scenario",

@@ -82,9 +82,9 @@ def _resolve_scenario(args) -> Scenario:
 
 
 def _out_dir(args) -> str:
-    out = args.out or f"firescout_{args.command}"
-    os.makedirs(out, exist_ok=True)
-    return out
+    """The out directory's path; each command makes it when its inputs
+    have passed every check."""
+    return args.out or f"firescout_{args.command}"
 
 
 def cmd_train(args, sc: Scenario) -> int:
@@ -96,6 +96,7 @@ def cmd_train(args, sc: Scenario) -> int:
     training = profile_training_config(args.profile, args.approach, args.iterations)
     net_config = profile_net_config(args.profile, args.approach, sc.sim)
     out = _out_dir(args)
+    os.makedirs(out, exist_ok=True)
     rng = np.random.default_rng(np.random.SeedSequence(sc.seed))
     net, curve = run_training(sc.sim, net_config, training, rng)
 
@@ -139,8 +140,8 @@ def cmd_render(args, sc: Scenario) -> int:
         sc = _override(sc, snapshot_every_steps=args.snapshot_every)
     out = _out_dir(args)
     record = run_episode(sc)
+    paths = render_record(record, sc, out)    # makes out
     write_episode_csv(os.path.join(out, "episode.csv"), record)
-    paths = render_record(record, sc, out)
     print(f"wrote {len(paths)} images and episode.csv to {out}")
     return 0
 

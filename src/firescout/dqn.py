@@ -6,7 +6,9 @@ value it is later queried for; with two aircraft this is exactly one
 transition per aircraft per step. Action selection with several peers
 sums the pairwise Q-rows before the argmax. One QNetwork.forward_team
 call scores a whole decision step: the image branch runs once per
-aircraft, the continuous branch once per ordered pair.
+aircraft, the continuous branch once per ordered pair. Likewise one
+ReplayBuffer.push writes a whole decision step from the team's arrays,
+one row per ordered pair.
 
 Evaluation flies env.play with a policy callable and always scores the
 accumulated discovery reward of the shared belief map, whatever inputs
@@ -25,21 +27,8 @@ from .env import BELIEF, OBSERVATION, SimConfig, SurveillanceSim, play, random_p
 from .nn import AdaMax, NetworkConfig, QNetwork, copy_weights
 
 
-@dataclass(frozen=True)
-class Transition:
-    """One pairwise experience tuple."""
-
-    image: np.ndarray        # ownship image input
-    cont: np.ndarray         # (5,) pairwise continuous input
-    action: int
-    reward: float
-    next_image: np.ndarray
-    next_cont: np.ndarray
-    terminal: bool           # True only when the episode ended un-bootstrapped
-
-
 class ReplayBuffer:
-    """Preallocated ring storage with uniform sampling."""
+    """Preallocated ring storage of pairwise transitions, uniform sampling."""
 
     def __init__(self, capacity: int, image_shape: tuple[int, int, int],
                  n_continuous: int = 5):
@@ -59,17 +48,28 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return self.size
 
-    def push(self, t: Transition) -> None:
-        i = self.cursor
-        self.images[i] = t.image
-        self.conts[i] = t.cont
-        self.actions[i] = t.action
-        self.rewards[i] = t.reward
-        self.next_images[i] = t.next_image
-        self.next_conts[i] = t.next_cont
-        self.terminals[i] = t.terminal
-        self.cursor = (i + 1) % self.capacity
-        self.size = min(self.size + 1, self.capacity)
+    def push(self, images, conts, actions, rewards, next_images, next_conts,
+             terminal: bool) -> None:
+        """Write one decision step from the team's arrays: images (n, h, w, c),
+        pair inputs (n, p, 5), actions and rewards (n,). terminal is True
+        only when the step ended the episode un-bootstrapped. Its n*p pair
+        rows go in owner-major order; when they outnumber the ring, the
+        last capacity rows are kept, as n*p single-row writes would leave it.
+        """
+        n, p = conts.shape[:2]
+        rows = n * p
+        kept = np.arange(max(0, rows - self.capacity), rows)
+        slots = (self.cursor + kept) % self.capacity
+        owners = kept // p
+        self.images[slots] = images[owners]
+        self.conts[slots] = conts.reshape(rows, -1)[kept]
+        self.actions[slots] = np.asarray(actions)[owners]
+        self.rewards[slots] = np.asarray(rewards)[owners]
+        self.next_images[slots] = next_images[owners]
+        self.next_conts[slots] = next_conts.reshape(rows, -1)[kept]
+        self.terminals[slots] = terminal
+        self.cursor = (self.cursor + rows) % self.capacity
+        self.size = min(self.size + rows, self.capacity)
 
     def sample_indices(self, batch_size: int, rng: np.random.Generator) -> np.ndarray:
         if self.size < batch_size:
@@ -256,21 +256,23 @@ def _check_run_config(sim_config: SimConfig, net_config: NetworkConfig,
 
 
 class _Collector:
-    """Steps the simulator with epsilon-greedy self-play and emits the
-    per-pair transitions of each step. Its episodes run across gradient
-    steps and draw exploration from the environment stream, so it does
-    not fly env.play.
+    """Steps the simulator with epsilon-greedy self-play and pushes each
+    step's pair transitions into the buffer. Its episodes run across
+    gradient steps and draw exploration from the environment stream, so
+    it does not fly env.play.
     """
 
-    def __init__(self, sim: SurveillanceSim, net: QNetwork, approach: str,
-                 bootstrap_on_truncation: bool):
+    def __init__(self, sim: SurveillanceSim, net: QNetwork, buffer: ReplayBuffer,
+                 approach: str, bootstrap_on_truncation: bool):
         self.sim = sim
         self.greedy = GreedyPolicy(net, approach)
+        self.buffer = buffer
         self.approach = approach
         self.bootstrap = bootstrap_on_truncation
         self._needs_reset = True
 
-    def collect_step(self, eps: float, rng: np.random.Generator) -> list[Transition]:
+    def collect_step(self, eps: float, rng: np.random.Generator) -> list[Action]:
+        """One decision step, pushed as one write; returns the team's actions."""
         sim = self.sim
         if self._needs_reset:
             sim.reset(rng)
@@ -283,20 +285,11 @@ class _Collector:
             greedy = self.greedy(sim)
             actions = [g if a is None else a for a, g in zip(actions, greedy)]
         result = sim.step(actions, rng)
-        rewards = [sim.reward(i, self.approach, result.discovered)
-                   for i in range(len(sim.aircraft))]
-        next_images, next_conts = sim.team_images(self.approach), sim.pair_inputs()
-        terminal = result.done and not self.bootstrap
-        out = []
-        for i in range(len(sim.aircraft)):
-            for k in range(conts.shape[1]):
-                out.append(Transition(
-                    image=images[i], cont=conts[i, k], action=int(actions[i]),
-                    reward=rewards[i], next_image=next_images[i],
-                    next_cont=next_conts[i, k], terminal=terminal))
-        if result.done:
-            self._needs_reset = True
-        return out
+        self.buffer.push(images, conts, actions, sim.rewards(self.approach, result.discovered),
+                         sim.team_images(self.approach), sim.pair_inputs(),
+                         result.done and not self.bootstrap)
+        self._needs_reset = result.done
+        return actions
 
 
 def run_training(sim_config: SimConfig, net_config: NetworkConfig,
@@ -318,7 +311,7 @@ def run_training(sim_config: SimConfig, net_config: NetworkConfig,
     optimizer = AdaMax(online.parameters(), alpha=cfg.learning_rate)
     buffer = ReplayBuffer(cfg.replay_capacity, net_config.image_shape)
     trainer = Trainer(online, target, buffer, optimizer, cfg)
-    collector = _Collector(SurveillanceSim(sim_config), online, cfg.approach,
+    collector = _Collector(SurveillanceSim(sim_config), online, buffer, cfg.approach,
                            cfg.bootstrap_on_truncation)
 
     eval_period = cfg.eval_period
@@ -339,14 +332,11 @@ def run_training(sim_config: SimConfig, net_config: NetworkConfig,
 
     prefill_target = min(max(cfg.prefill, cfg.batch_size), cfg.replay_capacity)
     while len(buffer) < prefill_target:
-        for t in collector.collect_step(1.0, env_rng):
-            buffer.push(t)
+        collector.collect_step(1.0, env_rng)
 
     record(0, float("nan"))
     for iteration in range(1, cfg.total_iterations + 1):
-        eps = epsilon(iteration, cfg)
-        for t in collector.collect_step(eps, env_rng):
-            buffer.push(t)
+        collector.collect_step(epsilon(iteration, cfg), env_rng)
         loss = trainer.train_step(sample_rng)
         if iteration % eval_period == 0 or iteration == cfg.total_iterations:
             record(iteration, loss)

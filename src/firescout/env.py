@@ -107,7 +107,6 @@ class SimConfig:
 class StepResult:
     aircraft: tuple[AircraftState, ...]
     discovered: int          # burning cells newly added to the shared belief
-    fire_stepped: bool
     done: bool
 
 
@@ -164,14 +163,12 @@ class SurveillanceSim:
         self.aircraft = [integrate(apply_action(s, a), cfg.dt)
                          for s, a in zip(self.aircraft, actions)]
         self.step_index += 1
-        fire_stepped = False
         if self.step_index % cfg.fire_every_steps == 0:
             self.grid = step_fire(self.grid, cfg.propagation, cfg.wind, rng)
-            fire_stepped = True
         self.belief, discovered = update_belief(self.belief, self.grid, self.aircraft)
         self._cache.clear()
         return StepResult(aircraft=tuple(self.aircraft), discovered=discovered,
-                          fire_stepped=fire_stepped, done=self.done)
+                          done=self.done)
 
     # -- network inputs -----------------------------------------------------
 
@@ -244,11 +241,13 @@ class SurveillanceSim:
     def belief_reward(self, i: int, discovered: int) -> float:
         return belief_reward(discovered, self.pair_geometries()[i], self.config.weights)
 
-    def reward(self, i: int, approach: str, discovered: int) -> float:
+    def rewards(self, approach: str, discovered: int) -> tuple[float, ...]:
+        """Every aircraft's reward under approach at the current state."""
+        team = range(len(self.aircraft))
         if approach == OBSERVATION:
-            return self.observation_reward(i)
+            return tuple(self.observation_reward(i) for i in team)
         if approach == BELIEF:
-            return self.belief_reward(i, discovered)
+            return tuple(self.belief_reward(i, discovered) for i in team)
         raise ValueError(f"unknown approach {approach!r}")
 
     def discovery_score(self, discovered: int) -> float:

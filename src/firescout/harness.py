@@ -352,8 +352,7 @@ def run_episode(sc: Scenario, rng: np.random.Generator | None = None,
         total += inc
         record.times_s.append(sim.step_index * sc.sim.dt)
         record.states.append(result.aircraft)
-        record.rewards.append(tuple(sim.reward(i, approach, result.discovered)
-                                    for i in range(len(sim.aircraft))))
+        record.rewards.append(sim.rewards(approach, result.discovered))
         record.discovery.append(inc)
         record.cumulative.append(total)
         if (sc.snapshot_every_steps is not None
@@ -405,17 +404,16 @@ def run_suite(sc: Scenario, episodes: int, controllers: list[str] | None = None,
         raise ScenarioError(f"episodes: a suite needs at least 2, got {episodes}")
     if controllers is None:
         controllers = [sc.controller]
-    for name in controllers:
-        if name not in CONTROLLERS:
-            raise ScenarioError(f"controller: unknown controller {name!r}")
+    nets = []
+    for name in controllers:    # each is refused, if at all, before out_dir is made
+        net = _load_net(sc.weights_path, name) if name in NET_CONTROLLERS else None
+        _make_policy(replace(sc, controller=name), net)
+        nets.append(net)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
     entries = []
-    for slot, name in enumerate(controllers):
+    for slot, (name, net) in enumerate(zip(controllers, nets)):
         variant = replace(sc, controller=name)
-        net = None
-        if name in NET_CONTROLLERS:
-            net = _load_net(sc.weights_path, name)
         scores = []
         for ep, child in enumerate(np.random.SeedSequence(sc.seed).spawn(episodes)):
             record = run_episode(variant, rng=np.random.default_rng(child), net=net)

@@ -20,7 +20,6 @@ from firescout.dqn import (
     ReplayBuffer,
     Trainer,
     TrainingConfig,
-    Transition,
     evaluate_policy,
     evaluate_random,
     run_training,
@@ -316,17 +315,16 @@ def _toy_components(alpha=0.002, period=50):
     target = net.clone()
     buffer = ReplayBuffer(64, config.image_shape)
     image = np.zeros((1, 1, 1), dtype=np.float32)
+    # one push per (state, action) pair: an owner with one peer
     for _ in range(16):
         for s in (0, 1):
             for a in (0, 1):
-                cont = np.zeros(5, dtype=np.float32)
-                cont[s] = 1.0
-                nxt = np.zeros(5, dtype=np.float32)
-                nxt[a] = 1.0
-                buffer.push(Transition(
-                    image=image, cont=cont, action=a,
-                    reward=1.0 if a == s else 0.0,
-                    next_image=image, next_cont=nxt, terminal=False))
+                cont = np.zeros((1, 1, 5), dtype=np.float32)
+                cont[..., s] = 1.0
+                nxt = np.zeros((1, 1, 5), dtype=np.float32)
+                nxt[..., a] = 1.0
+                buffer.push(image[None], cont, [a], [1.0 if a == s else 0.0],
+                            image[None], nxt, False)
     cfg = TrainingConfig(total_iterations=1000, approach="belief", gamma=0.9,
                          batch_size=16, target_update_period=period,
                          prefill=0, replay_capacity=64)

@@ -15,6 +15,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import firescout
 from firescout.aircraft import Action, relative_geometry
@@ -24,7 +26,6 @@ from firescout.dqn import (
     ReplayBuffer,
     Trainer,
     TrainingConfig,
-    Transition,
     epsilon,
     evaluate_policy,
     evaluate_random,
@@ -86,11 +87,27 @@ class StubNet:
         return self.forward_batch(images, pair_conts).reshape(n, p, -1).sum(axis=1)
 
 
-def tiny_transition(reward=0.0, action=0, terminal=False, cont=None):
-    img = np.zeros(TINY_IMAGE, dtype=np.float32)
-    c = np.zeros(5, dtype=np.float32) if cont is None else cont
-    return Transition(image=img, cont=c, action=action, reward=reward,
-                      next_image=img, next_cont=c, terminal=terminal)
+def push_tiny(buf, reward=0.0, action=0, terminal=False, cont=None):
+    """One step of one aircraft with one peer: a single transition row."""
+    img = np.zeros((1, *TINY_IMAGE), dtype=np.float32)
+    c = np.zeros((1, 1, 5), dtype=np.float32) if cont is None else cont.reshape(1, 1, 5)
+    buf.push(img, c, [action], [reward], img, c, terminal)
+
+
+def push_rows(buf, images, conts, actions, rewards, next_images, next_conts, terminal):
+    """Oracle for ReplayBuffer.push: one pair row at a time, owner-major."""
+    for i in range(len(images)):
+        for k in range(conts.shape[1]):
+            j = buf.cursor
+            buf.images[j] = images[i]
+            buf.conts[j] = conts[i, k]
+            buf.actions[j] = actions[i]
+            buf.rewards[j] = rewards[i]
+            buf.next_images[j] = next_images[i]
+            buf.next_conts[j] = next_conts[i, k]
+            buf.terminals[j] = terminal
+            buf.cursor = (j + 1) % buf.capacity
+            buf.size = min(buf.size + 1, buf.capacity)
 
 
 class TestEpsilon:
@@ -277,13 +294,14 @@ class TestForwardTeam:
     @pytest.mark.parametrize("profile, approach, n_aircraft", TEAM_CASES)
     def test_collector_matches_oracle_actions_and_draws(self, profile, approach, n_aircraft):
         sim_cfg, net = team_setup(profile, approach, n_aircraft)
-        ours = _Collector(SurveillanceSim(sim_cfg), net, approach, bootstrap_on_truncation=True)
+        buffer = ReplayBuffer(1000, net.config.image_shape)
+        ours = _Collector(SurveillanceSim(sim_cfg), net, buffer, approach,
+                          bootstrap_on_truncation=True)
         oracle = OracleCollector(SurveillanceSim(sim_cfg), net, approach)
         rng_ours, rng_oracle = np.random.default_rng(33), np.random.default_rng(33)
         for _ in range(40):
-            transitions = ours.collect_step(0.5, rng_ours)
             want = oracle.collect_step(0.5, rng_oracle)
-            assert [t.action for t in transitions[::n_aircraft - 1]] == want
+            assert ours.collect_step(0.5, rng_ours) == want
             assert rng_ours.bit_generator.state == rng_oracle.bit_generator.state
 
     def test_one_row_per_pair_needs_its_owner(self):
@@ -312,14 +330,14 @@ class TestReplayBuffer:
     def test_ring_overwrites_oldest(self):
         buf = ReplayBuffer(3, TINY_IMAGE)
         for r in (1.0, 2.0, 3.0, 4.0, 5.0):
-            buf.push(tiny_transition(reward=r))
+            push_tiny(buf, reward=r)
         assert len(buf) == 3
         assert set(buf.rewards.tolist()) == {3.0, 4.0, 5.0}
 
     def test_push_stores_all_fields(self):
         buf = ReplayBuffer(4, TINY_IMAGE)
         cont = np.arange(5, dtype=np.float32)
-        buf.push(tiny_transition(reward=-2.5, action=1, terminal=True, cont=cont))
+        push_tiny(buf, reward=-2.5, action=1, terminal=True, cont=cont)
         assert buf.actions[0] == 1
         assert buf.rewards[0] == -2.5
         assert buf.terminals[0]
@@ -327,14 +345,14 @@ class TestReplayBuffer:
 
     def test_underfilled_sampling_rejected(self):
         buf = ReplayBuffer(10, TINY_IMAGE)
-        buf.push(tiny_transition())
+        push_tiny(buf)
         with pytest.raises(ValueError):
             buf.sample_indices(2, np.random.default_rng(0))
 
     def test_sampling_is_uniform(self):
         buf = ReplayBuffer(10, TINY_IMAGE)
         for r in range(10):
-            buf.push(tiny_transition(reward=float(r)))
+            push_tiny(buf, reward=float(r))
         rng = np.random.default_rng(99)
         counts = np.zeros(10)
         draws = 2000 * 10
@@ -344,6 +362,35 @@ class TestReplayBuffer:
         freq = counts / draws
         sigma = math.sqrt(0.1 * 0.9 / draws)
         assert np.abs(freq - 0.1).max() < 3 * sigma
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(2, 4), capacity_steps=st.floats(0.05, 4.0),
+           steps=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    @example(n=4, capacity_steps=0.05, steps=3, seed=0)   # 1 slot, 12 rows a step
+    @example(n=3, capacity_steps=0.5, steps=2, seed=1)    # 3 slots, 6 rows a step
+    @example(n=2, capacity_steps=2.5, steps=8, seed=2)    # 5 slots, wraps 3 times
+    def test_step_push_equals_row_by_row_oracle(self, n, capacity_steps, steps, seed):
+        """After any sequence of step pushes every array (by bytes), the
+        cursor and the size equal a buffer written one row at a time."""
+        p = n - 1
+        capacity = max(1, round(capacity_steps * n * p))
+        shape = (2, 3, 2)
+        ours, oracle = ReplayBuffer(capacity, shape), ReplayBuffer(capacity, shape)
+        rng = np.random.default_rng(seed)
+        for _ in range(steps):
+            step = (rng.standard_normal((n, *shape), dtype=np.float32),
+                    rng.standard_normal((n, p, 5), dtype=np.float32),
+                    [Action(int(a)) for a in rng.integers(2, size=n)],
+                    tuple(rng.standard_normal(n).tolist()),
+                    rng.standard_normal((n, *shape), dtype=np.float32),
+                    rng.standard_normal((n, p, 5), dtype=np.float32),
+                    bool(rng.integers(2)))
+            ours.push(*step)
+            push_rows(oracle, *step)
+        for name in ("images", "conts", "actions", "rewards", "next_images",
+                     "next_conts", "terminals"):
+            assert getattr(ours, name).tobytes() == getattr(oracle, name).tobytes(), name
+        assert (ours.cursor, ours.size) == (oracle.cursor, oracle.size)
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
@@ -382,14 +429,14 @@ def toy_trainer(seed=0, gamma=0.9, period=50, iterations_cfg=1000):
         v[s] = 1.0
         return v
 
+    # each (state, action) pair is pushed as an owner with one peer
+    pairs = [(s, a) for s in (0, 1) for a in (0, 1)]
+    imgs = np.zeros((len(pairs), *TINY_IMAGE), dtype=np.float32)
     buf = ReplayBuffer(64, TINY_IMAGE)
     for _ in range(16):
-        for s in (0, 1):
-            for a in (0, 1):
-                buf.push(Transition(image=img, cont=cont(s), action=a,
-                                    reward=1.0 if a == s else 0.0,
-                                    next_image=img, next_cont=cont(a),
-                                    terminal=False))
+        buf.push(imgs, np.array([[cont(s)] for s, _ in pairs]), [a for _, a in pairs],
+                 [1.0 if a == s else 0.0 for s, a in pairs], imgs,
+                 np.array([[cont(a)] for _, a in pairs]), False)
     tcfg = TrainingConfig(total_iterations=iterations_cfg, gamma=gamma,
                           batch_size=16, target_update_period=period,
                           prefill=0, replay_capacity=64)
@@ -407,9 +454,8 @@ class TestTrainer:
             for s in (0, 1):
                 q = trainer.online.forward(img, cont(s))
                 for a in (0, 1):
-                    buf.push(Transition(image=img, cont=cont(s), action=a,
-                                        reward=float(q[a]), next_image=img,
-                                        next_cont=cont(s), terminal=True))
+                    c = cont(s).reshape(1, 1, 5)
+                    buf.push(img[None], c, [a], [float(q[a])], img[None], c, True)
         trainer.buffer = buf
         before = [p.copy() for p in trainer.online.parameters()]
         loss = trainer.train_step(np.random.default_rng(0))
@@ -559,6 +605,21 @@ class TestRunTraining:
         net2 = QNetwork(small_net_config(), np.random.default_rng(9).spawn(4)[0])
         for a, b in zip(short.parameters(), net2.parameters()):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("n_aircraft", [2, 3])
+    def test_one_push_per_collected_step(self, monkeypatch, n_aircraft):
+        pushes, steps = [], []
+        for owner, name, log in ((ReplayBuffer, "push", pushes),
+                                 (_Collector, "collect_step", steps)):
+            def counted(*args, inner=getattr(owner, name), log=log):
+                log.append(args)
+                return inner(*args)
+            monkeypatch.setattr(owner, name, counted)
+        cfg = self.run_cfg(5)
+        run_training(replace(small_sim_config(), n_aircraft=n_aircraft),
+                     small_net_config(), cfg, np.random.default_rng(0))
+        rows = n_aircraft * (n_aircraft - 1)
+        assert len(pushes) == len(steps) == math.ceil(cfg.prefill / rows) + 5
 
     def test_mismatched_network_rejected(self):
         bad = NetworkConfig(image_shape=(9, 9, 2), conv_stages=1, conv_filters=2,

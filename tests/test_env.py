@@ -13,7 +13,7 @@ import pytest
 
 from firescout import env
 from firescout.aircraft import Action, AircraftState, relative_geometry
-from firescout.dqn import _Collector
+from firescout.dqn import ReplayBuffer, _Collector
 from firescout.env import BELIEF, OBSERVATION, SurveillanceSim
 from firescout.harness import desk_scenario, profile_net_config, run_episode
 from firescout.nn import QNetwork
@@ -45,7 +45,8 @@ def test_training_step_renders_each_aircraft_once(monkeypatch, approach, rendere
     sim = desk_sim()
     net = QNetwork(profile_net_config("desk", approach, sim.config),
                    rng=np.random.default_rng(0))
-    collector = _Collector(sim, net, approach, bootstrap_on_truncation=True)
+    collector = _Collector(sim, net, ReplayBuffer(1000, net.config.image_shape), approach,
+                           bootstrap_on_truncation=True)
     calls = counting(monkeypatch, renderer)
     rng = np.random.default_rng(1)
     for _ in range(STEPS):
@@ -71,7 +72,8 @@ def test_each_pair_geometry_computed_once_per_team_state(monkeypatch):
     sim = desk_sim(n_aircraft=3)
     net = QNetwork(profile_net_config("desk", BELIEF, sim.config),
                    rng=np.random.default_rng(0))
-    collector = _Collector(sim, net, BELIEF, bootstrap_on_truncation=True)
+    collector = _Collector(sim, net, ReplayBuffer(1000, net.config.image_shape), BELIEF,
+                           bootstrap_on_truncation=True)
     calls = counting(monkeypatch, "relative_geometry")
     rng = np.random.default_rng(2)
     for _ in range(STEPS):
@@ -89,6 +91,11 @@ def test_each_pair_geometry_computed_once_per_team_state(monkeypatch):
                             g.psi_rel, g.phi_other] for g in geoms], dtype=np.float32)
         assert conts[i].tobytes() == expect.tobytes()
         assert rewards[i] == belief_reward(0, geoms, sim.config.weights)
+    # the team's reward tuple holds the per-aircraft rewards, bit for bit
+    observation = [sim.observation_reward(i) for i in range(3)]
+    belief = [sim.belief_reward(i, 3) for i in range(3)]
+    assert np.array(sim.rewards(OBSERVATION, 3)).tobytes() == np.array(observation).tobytes()
+    assert np.array(sim.rewards(BELIEF, 3)).tobytes() == np.array(belief).tobytes()
 
 
 def assert_images_fresh(sim):

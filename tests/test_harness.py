@@ -453,7 +453,7 @@ class TestProfiles:
 
 class TestBadInputExitsTwo:
     """Each bad input ends the CLI with status 2 and a message naming the
-    field, with no traceback and no run on garbage.
+    field, with no traceback, no run on garbage and no out directory.
     """
 
     def run_cli(self, tmp_path, capsys, args, config=None):
@@ -467,6 +467,7 @@ class TestBadInputExitsTwo:
             code = cli.main(args)
         except SystemExit as e:
             code = e.code
+        assert not (tmp_path / "out").exists()
         return code, capsys.readouterr()
 
     def test_one_range_bin(self, tmp_path, capsys):
@@ -539,12 +540,10 @@ class TestBadInputExitsTwo:
         (["--iterations", "2"], {"aircraft_count": 1}, "aircraft_count"),
     ], ids=["negative-iterations", "one-aircraft"])
     def test_bad_training_input(self, tmp_path, capsys, flags, override, field):
-        """Refused before the out directory is made."""
         code, out = self.run_cli(tmp_path, capsys, ["train", *flags], tiny_dict(**override))
         assert code == 2
         assert field in out.err
         assert "Traceback" not in out.err
-        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("approach", ["belief", "observation"])
     @pytest.mark.parametrize("command", [["evaluate", "--episodes", "2"], ["render"]],
@@ -580,6 +579,16 @@ class TestBadInputExitsTwo:
         assert "Traceback" not in out.err
         assert "mean" not in out.out
 
+    @pytest.mark.parametrize("command", [["evaluate", "--episodes", "2"], ["render"]],
+                             ids=["evaluate", "render"])
+    def test_one_byte_weights_file(self, tmp_path, capsys, command):
+        wpath = tmp_path / "weights.bin"
+        wpath.write_bytes(b"F")
+        config = tiny_dict(controller="belief-net", weights_path=str(wpath))
+        code, out = self.run_cli(tmp_path, capsys, command, config)
+        assert code == 2
+        assert "weight file ends after 1 bytes" in out.err
+        assert "Traceback" not in out.err
 
     @pytest.mark.parametrize("command", [["render"], ["evaluate", "--episodes", "2"],
                                          ["baseline", "--episodes", "2"],
