@@ -82,8 +82,8 @@ def _resolve_scenario(args) -> Scenario:
 
 
 def _out_dir(args) -> str:
-    """The out directory's path; each command makes it when its inputs
-    have passed every check."""
+    """The out directory's path; each command makes it just before its
+    first write, so a refused input or a failed run leaves none."""
     return args.out or f"firescout_{args.command}"
 
 
@@ -95,11 +95,11 @@ def cmd_train(args, sc: Scenario) -> int:
                             f"aircraft, got {sc.sim.n_aircraft}")
     training = profile_training_config(args.profile, args.approach, args.iterations)
     net_config = profile_net_config(args.profile, args.approach, sc.sim)
-    out = _out_dir(args)
-    os.makedirs(out, exist_ok=True)
     rng = np.random.default_rng(np.random.SeedSequence(sc.seed))
     net, curve = run_training(sc.sim, net_config, training, rng)
 
+    out = _out_dir(args)
+    os.makedirs(out, exist_ok=True)
     weights_path = os.path.join(out, "weights.bin")
     save_weights(net, weights_path)
     write_curve_csv(os.path.join(out, "curve.csv"), curve)

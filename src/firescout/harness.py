@@ -405,12 +405,10 @@ def run_suite(sc: Scenario, episodes: int, controllers: list[str] | None = None,
     if controllers is None:
         controllers = [sc.controller]
     nets = []
-    for name in controllers:    # each is refused, if at all, before out_dir is made
+    for name in controllers:    # each is refused, if at all, before any episode runs
         net = _load_net(sc.weights_path, name) if name in NET_CONTROLLERS else None
         _make_policy(replace(sc, controller=name), net)
         nets.append(net)
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
     entries = []
     for slot, (name, net) in enumerate(zip(controllers, nets)):
         variant = replace(sc, controller=name)
@@ -419,6 +417,7 @@ def run_suite(sc: Scenario, episodes: int, controllers: list[str] | None = None,
             record = run_episode(variant, rng=np.random.default_rng(child), net=net)
             scores.append(record.total_score)
             if out_dir is not None:
+                os.makedirs(out_dir, exist_ok=True)    # just before the first write
                 write_episode_csv(
                     os.path.join(out_dir, f"{slot}_{name}_ep{ep:03d}.csv"), record)
         mean, stderr = mean_stderr(scores)

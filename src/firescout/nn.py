@@ -78,6 +78,20 @@ class Relu:
 # most 1,200 entries with 32 or more terms to a small-matrix kernel.
 _TAP_MIN_BYTES = 1 << 17
 
+# A float32 Conv2D layer whose whole (n*h*w, k*k*c) im2col matrix would take
+# more than _COLUMNS_MAX_BYTES never builds it. Its forward pass multiplies
+# im2col one chunk of whole images at a time and caches its input, and
+# backward computes dw one kernel tap at a time, as (c, n*h*w) @ (n*h*w, n_out)
+# products. Each chunk's or tap's GEMM has the same bits as its rows of the
+# whole product while it stays off the small-matrix kernel (at most 10**6
+# multiply-adds) and off gemv (a dimension of 1), and while each tap's product
+# has more than 1,200 entries; smaller taps, and float64 products, lost bits
+# when OpenBLAS ran them on two threads. So the split is taken only where one
+# image's product and one tap's product pass all three limits.
+_COLUMNS_MAX_BYTES = 8 << 20
+_SMALL_GEMM_MNK = 10 ** 6
+_SMALL_GEMM_ENTRIES = 1200
+
 
 class Conv2D:
     """3x3-style convolution, stride 1, zero padding preserving spatial size.
@@ -99,39 +113,72 @@ class Conv2D:
     def params(self):
         return [self.weight, self.bias]
 
-    def _columns(self, x):
+    def _splits(self, x_shape, dtype) -> bool:
+        """Whether a (n, h, w, c) input of dtype skips the whole im2col matrix."""
+        n, h, w, c = x_shape
+        n_out = self.weight.shape[-1]
+        kkc = self.kernel ** 2 * c
+        return (n * h * w * kkc * 4 > _COLUMNS_MAX_BYTES
+                and np.result_type(dtype, self.weight) == np.float32
+                and min(h * w, c, n_out) > 1 and c * n_out > _SMALL_GEMM_ENTRIES
+                and min(h * w * kkc, n * h * w * c) * n_out > _SMALL_GEMM_MNK)
+
+    def _padded(self, x):
         n, h, w, c = x.shape
-        k = self.kernel
-        pad = (k - 1) // 2
+        pad = (self.kernel - 1) // 2
         xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
         xp[:, pad:pad + h, pad:pad + w, :] = x
+        return xp
+
+    def _columns(self, xp, h, w):
+        """The (n*h*w, k*k*c) im2col matrix of a padded input."""
+        n, c = xp.shape[0], xp.shape[3]
+        k = self.kernel
         s0, s1, s2, s3 = xp.strides  # window view (n, h, w, k, k, c), checked to fit in xp
         windows = np.ndarray((n, h, w, k, k, c), xp.dtype, xp, 0, (s0, s1, s2, s1, s2, s3))
-        return np.ascontiguousarray(windows).reshape(n, h, w, k * k * c)
+        return np.ascontiguousarray(windows).reshape(n * h * w, k * k * c)
 
     def forward(self, x):
         y, _ = self.forward_cached(x)
         return y
 
     def forward_cached(self, x):
+        """(y, cache); the cache holds the im2col matrix, or x itself
+        when _splits() holds."""
         n, h, w, c = x.shape
-        k = self.kernel
-        cols = self._columns(x)
-        w2 = self.weight.reshape(k * k * c, -1)
-        y = cols.reshape(-1, k * k * c) @ w2
+        w2 = self.weight.reshape(-1, self.weight.shape[-1])
+        xp = self._padded(x)
+        if not self._splits(x.shape, x.dtype):
+            cols = self._columns(xp, h, w)
+            y = cols @ w2
+            y += self.bias
+            return y.reshape(n, h, w, -1), (cols, x.shape)
+        step = max(1, _COLUMNS_MAX_BYTES // (h * w * w2.shape[0] * x.itemsize))
+        y = np.empty((n * h * w, w2.shape[1]), np.result_type(x, w2))
+        for i in range(0, n, step):
+            np.matmul(self._columns(xp[i:i + step], h, w), w2,
+                      out=y[i * h * w:min(i + step, n) * h * w])
         y += self.bias
-        return y.reshape(n, h, w, -1), (cols, x.shape)
+        return y.reshape(n, h, w, -1), (x, x.shape)
 
     def backward(self, cache, dout, input_grad=True):
         """(dx, [dw, db]); dx is None when input_grad is false."""
-        cols, x_shape = cache
+        a, x_shape = cache
         n, h, w, c = x_shape
         k = self.kernel
         pad = (k - 1) // 2
         kkc = k * k * c
         n_out = dout.shape[-1]
         dflat = dout.reshape(-1, n_out)
-        dw = (cols.reshape(-1, kkc).T @ dflat).reshape(self.weight.shape)
+        if a.ndim == 2:
+            dw = (a.T @ dflat).reshape(self.weight.shape)
+        else:  # a is the layer input: dw one tap at a time
+            xp = self._padded(a)
+            dw = np.empty(self.weight.shape, np.result_type(a, dflat))
+            for di in range(k):
+                for dj in range(k):
+                    shifted = np.ascontiguousarray(xp[:, di:di + h, dj:dj + w, :])
+                    dw[di, dj] = shifted.reshape(-1, c).T @ dflat
         db = dflat.sum(axis=0)
         if not input_grad:
             return None, [dw, db]

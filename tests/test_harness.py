@@ -595,9 +595,10 @@ class TestBadInputExitsTwo:
                                          ["train", "--iterations", "2"]],
                              ids=["render", "evaluate", "baseline", "train"])
     def test_out_of_memory_exits_two(self, tmp_path, command):
-        """A grid too large for the process's memory ends with status 2 and
-        one line naming the command and the grid size fields. The CLI runs
-        in a child process under a 1 GiB address-space limit."""
+        """A grid too large for the process's memory ends with status 2,
+        one line naming the command and the grid size fields, and no out
+        directory. The CLI runs in a child process under a 1 GiB
+        address-space limit."""
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(tiny_dict(grid={"width_cells": 1_000_000_000,
                                                    "height_cells": 10,
@@ -616,6 +617,7 @@ class TestBadInputExitsTwo:
         assert proc.stderr.splitlines() == [
             f"error: {command[0]}: out of memory "
             "(grid.width_cells x grid.height_cells = 1000000000 x 10)"]
+        assert not (tmp_path / "out").exists()
 
 
 # -- the field table --------------------------------------------------------

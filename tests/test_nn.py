@@ -22,6 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import firescout
+from firescout import nn
 from firescout.nn import (
     _TAP_MIN_BYTES,
     AdaMax,
@@ -558,44 +559,124 @@ def conv_networks(draw):
                              draw(st.sampled_from([1, 3, 16])), draw(st.integers(0, 2**32 - 1)))
 
 
+class ConvPaths:
+    """Spies on Conv2D: the image count of each im2col matrix a layer
+    builds, and (layer, input_grad, dw tap by tap) of each backward call.
+    A backward pass whose cache holds the layer input (4-d) rather than an
+    im2col matrix (2-d) computes dw one kernel tap at a time."""
+
+    def __init__(self, monkeypatch):
+        self.columns, self.backward = [], []
+        columns, backward = Conv2D._columns, Conv2D.backward
+
+        def spy_columns(layer, xp, h, w):
+            self.columns.append((layer, len(xp)))
+            return columns(layer, xp, h, w)
+
+        def spy_backward(layer, cache, dout, input_grad=True):
+            self.backward.append((layer, input_grad, cache[0].ndim == 4))
+            return backward(layer, cache, dout, input_grad)
+
+        monkeypatch.setattr(Conv2D, "_columns", spy_columns)
+        monkeypatch.setattr(Conv2D, "backward", spy_backward)
+
+    def chunks(self, layer):
+        return [n for other, n in self.columns if other is layer]
+
+
+def assert_network_matches_oracle(net, oracle, batch, forward_rows):
+    loss, grads = net.loss_and_gradients(*batch)
+    want_loss, want_grads = oracle.loss_and_gradients(*batch)
+    assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+    assert len(grads) == len(want_grads)
+    for got, want in zip(grads, want_grads):
+        assert_same_bits(got, want)
+    images, conts = batch[:2]
+    for rows in forward_rows:
+        assert_same_bits(net.forward_batch(images[:rows], conts[:rows]),
+                         oracle.forward_batch(images[:rows], conts[:rows]))
+
+
 class TestNetworkBitIdentity:
     """Whole networks on the layer kernels against the same networks on
     the reference kernels: the same bits, batch by batch."""
 
-    @pytest.mark.parametrize("config, batch", [
-        (NetworkConfig(image_shape=(10, 8, 1), **DESK), 64),     # desk observation
-        (NetworkConfig(image_shape=(20, 20, 2), **DESK), 64),    # desk belief
-        (NetworkConfig(image_shape=(40, 30, 1)), 64),            # paper observation
-        (NetworkConfig(image_shape=(100, 100, 2)), 8),           # paper belief
+    @pytest.mark.parametrize("config, batch, splits", [
+        (NetworkConfig(image_shape=(10, 8, 1), **DESK), 64, [False] * 2),   # desk observation
+        (NetworkConfig(image_shape=(20, 20, 2), **DESK), 64, [False] * 2),  # desk belief
+        (NetworkConfig(image_shape=(40, 30, 1)), 64, [False, True, True]),  # paper observation
+        (NetworkConfig(image_shape=(100, 100, 2)), 8, [False, True, True]),  # paper belief
     ], ids=["desk-observation", "desk-belief", "paper-observation", "paper-belief"])
-    def test_losses_gradients_and_values(self, config, batch, monkeypatch):
+    def test_losses_gradients_and_values(self, config, batch, splits, monkeypatch):
         net, oracle = QNetwork(config, np.random.default_rng(40)), oracle_network(config, 40)
-        input_grads = []  # (layer, input_grad) of each Conv2D.backward call
-        backward = Conv2D.backward
-
-        def recording_backward(layer, cache, dout, input_grad=True):
-            input_grads.append((layer, input_grad))
-            return backward(layer, cache, dout, input_grad)
-
-        monkeypatch.setattr(Conv2D, "backward", recording_backward)
+        paths = ConvPaths(monkeypatch)
         rng = np.random.default_rng(41)
         # 0/1 images: pooling windows full of exact ties
         images = rng.integers(0, 2, size=(batch,) + config.image_shape).astype(np.float32)
         conts = rng.normal(size=(batch, 5)).astype(np.float32)
         actions = rng.integers(0, 2, batch)
         targets = rng.normal(size=batch).astype(np.float32)
-        loss, grads = net.loss_and_gradients(images, conts, actions, targets)
+        net.loss_and_gradients(images, conts, actions, targets)
         convs = [layer for layer in net.image_layers if isinstance(layer, Conv2D)]
-        # only the first conv layer, whose input is the image, skips dx
-        assert input_grads == [(layer, layer is not convs[0]) for layer in reversed(convs)]
-        want_loss, want_grads = oracle.loss_and_gradients(images, conts, actions, targets)
-        assert loss == want_loss
-        assert len(grads) == len(want_grads)
-        for got, want in zip(grads, want_grads):
-            assert_same_bits(got, want)
-        for rows in (1, 3, 64):
-            assert_same_bits(net.forward_batch(images[:rows], conts[:rows]),
-                             oracle.forward_batch(images[:rows], conts[:rows]))
+        # a split layer builds im2col a chunk of images at a time and dw tap by
+        # tap; only the first conv layer, whose input is the image, skips dx
+        chunks = [paths.chunks(layer) for layer in convs]
+        assert [sum(sizes) for sizes in chunks] == [batch] * len(convs)
+        assert [len(sizes) > 1 for sizes in chunks] == splits
+        assert paths.backward == [(layer, layer is not convs[0], split)
+                                  for layer, split in reversed(list(zip(convs, splits)))]
+        assert_network_matches_oracle(net, oracle, (images, conts, actions, targets), (1, 3, 64))
+
+    # (c, stages, h, w, filters, training rows, budget, which conv layers split
+    # at that batch): on each side of each limit of Conv2D._splits
+    @pytest.mark.parametrize("c, stages, h, w, filters, n, budget, splits", [
+        (64, 2, 12, 10, 64, 64, 1 << 18, [True, True]),  # two c = 64 layers
+        (64, 1, 12, 10, 18, 64, 1 << 18, [False]),  # one tap's dw: 64 * 18 = 1,152 entries
+        (64, 1, 12, 10, 19, 64, 1 << 18, [True]),   # 64 * 19 = 1,216 entries
+        (64, 1, 9, 6, 32, 64, 1 << 18, [False]),    # one image: 54 * 576 * 32 = 995,328 MACs
+        (64, 1, 11, 5, 32, 64, 1 << 18, [True]),    # 55 * 576 * 32 = 1,013,760 MACs
+        (64, 1, 7, 7, 64, 4, 1 << 18, [False]),     # one tap's dw: 4 * 49 * 64 * 64 = 802,816 MACs
+        (64, 1, 7, 7, 64, 5, 1 << 18, [True]),      # 5 * 49 * 64 * 64 = 1,003,520 MACs
+        (64, 1, 7, 7, 64, 5, 564_480, [False]),     # im2col exactly at the budget
+        (64, 1, 7, 7, 64, 5, 564_479, [True]),      # one byte over it
+        (2, 1, 12, 10, 64, 64, 1 << 10, [False]),   # 2 * 64 = 128 entries, as paper belief layer 1
+    ], ids=["two-layers", "tap-entries-below", "tap-entries-above", "image-macs-below",
+            "image-macs-above", "tap-macs-below", "tap-macs-above", "at-budget", "over-budget",
+            "two-channels"])
+    def test_smaller_budget_matches_oracle(self, c, stages, h, w, filters, n, budget, splits,
+                                           monkeypatch):
+        """A patched im2col budget puts the chunked forward and the tap-by-tap
+        dw on small c = 64 layers; each one that splits keeps every bit."""
+        monkeypatch.setattr(nn, "_COLUMNS_MAX_BYTES", budget)
+        config, biases, batch = conv_network_case(c, stages, h, w, filters, 64, 60)
+        net, oracle = QNetwork(config, np.random.default_rng(61)), oracle_network(config, 61)
+        for model in (net, oracle):
+            convs = [layer for layer in model.image_layers if isinstance(layer, Conv2D)]
+            for layer, bias in zip(convs, biases):
+                layer.bias[...] = bias
+        paths = ConvPaths(monkeypatch)
+        batch = tuple(a[:n] for a in batch)
+        net.loss_and_gradients(*batch)
+        convs = [layer for layer in net.image_layers if isinstance(layer, Conv2D)]
+        chunks = [paths.chunks(layer) for layer in convs]
+        assert [sum(sizes) for sizes in chunks] == [n] * len(convs)
+        assert [len(sizes) > 1 for sizes in chunks] == splits
+        assert [tapped for _, _, tapped in reversed(paths.backward)] == splits
+        assert_network_matches_oracle(net, oracle, batch, (1, 3, 64))
+
+    @pytest.mark.parametrize("c, n_out, hw, dtype", [
+        (64, 64, (50, 50), np.float64),    # float64 products lost bits when split
+        (1, 2000, (50, 50), np.float32),   # one tap's dw product is a gemv
+        (2000, 1, (50, 50), np.float32),   # every product is a gemv
+        (64, 64, (1, 1), np.float32),      # one image's product is a gemv
+    ], ids=["float64", "one-channel", "one-filter", "one-pixel"])
+    def test_split_rule_refuses_other_kernels(self, c, n_out, hw, dtype):
+        layer = Conv2D(c, n_out, np.random.default_rng(0), dtype)
+        shape = (100_000, *hw, c)
+        assert shape[0] * hw[0] * hw[1] * 9 * c * 4 > nn._COLUMNS_MAX_BYTES
+        assert not layer._splits(shape, dtype)
+        assert Conv2D(64, 64, np.random.default_rng(0), np.float32)._splits(
+            (64, 50, 50, 64), np.float32)
 
     @settings(max_examples=60, deadline=None)
     @given(case=conv_networks(), seed=st.integers(0, 2**32 - 1))
@@ -821,23 +902,33 @@ def training_batch(config, n, seed):
 
 
 class TestStepMemoryAndDtype:
-    def test_paper_observation_gradient_peak(self):
-        """One loss_and_gradients at paper observation size (batch 64) keeps
-        at most 80 MB of arrays alive at once."""
+    @staticmethod
+    def paper_observation_peak(run):
+        """The most bytes of arrays alive at once while run(net, batch) runs
+        at paper observation size, batch 64."""
         config = NetworkConfig(image_shape=(40, 30, 1))
         net = QNetwork(config, np.random.default_rng(50))
         batch = training_batch(config, 64, 51)
         tracemalloc.start()
         try:
-            net.loss_and_gradients(*batch)
-            peak = tracemalloc.get_traced_memory()[1]
+            run(net, batch)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 80e6, f"peak {peak / 1e6:.1f} MB"
+
+    def test_paper_observation_gradient_peak(self):
+        """One loss_and_gradients keeps at most 50 MB of arrays alive at
+        once; a whole layer-2 im2col matrix alone would take 44 MB."""
+        peak = self.paper_observation_peak(lambda net, batch: net.loss_and_gradients(*batch))
+        assert peak < 50e6, f"peak {peak / 1e6:.1f} MB"
+
+    def test_paper_observation_forward_peak(self):
+        peak = self.paper_observation_peak(lambda net, batch: net.forward_batch(*batch[:2]))
+        assert peak < 40e6, f"peak {peak / 1e6:.1f} MB"
 
     def test_paper_belief_step_peak_rss(self):
         """A paper belief gradient step at batch 64 (target forward,
-        loss_and_gradients, AdaMax) peaks under 750 MB in a fresh process."""
+        loss_and_gradients, AdaMax) peaks under 600 MB in a fresh process."""
         code = ("import resource\n"
                 "import numpy as np\n"
                 "from firescout.nn import AdaMax, NetworkConfig, QNetwork\n"
@@ -856,7 +947,7 @@ class TestStepMemoryAndDtype:
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        assert int(proc.stdout) < 750 * 1024, f"ru_maxrss {int(proc.stdout) / 1024:.0f} MB"
+        assert int(proc.stdout) < 600 * 1024, f"ru_maxrss {int(proc.stdout) / 1024:.0f} MB"
 
     def test_gradients_and_updates_stay_float32(self):
         config = NetworkConfig(image_shape=(20, 20, 2), **DESK)
