@@ -16,10 +16,9 @@ from .dqn import ReplayBuffer, TrainingConfig, Trainer, epsilon, evaluate_policy
 from .harness import EpisodeRecord, Scenario, ScenarioError, desk_scenario, \
     load_scenario, paper_scenario, render_record, run_episode, run_suite, \
     save_scenario, scenario_from_dict, scenario_to_dict
-from .receding_horizon import RHConfig, RHController, optimize_trajectory, \
-    rh_step, rollout_score
-from .rewards import RewardWeights, bank_penalty, belief_reward, \
-    cold_cells_penalty, fire_distance_penalty, proximity_penalty
+from .receding_horizon import RHConfig, RHPolicy, optimize_trajectory
+from .rewards import RewardWeights, bank_penalty, belief_reward, belief_rewards, \
+    cold_cells_penalty, fire_distance_penalty, observation_rewards, proximity_penalty
 from .sensing import BeliefMap, PolarObservation, RangeBins, build_range_bins, \
     ego_belief_image, render_observation, update_belief
 
@@ -38,9 +37,9 @@ __all__ = [
     "EpisodeRecord", "Scenario", "ScenarioError", "desk_scenario", "load_scenario",
     "paper_scenario", "render_record", "run_episode", "run_suite", "save_scenario",
     "scenario_from_dict", "scenario_to_dict",
-    "RHConfig", "RHController", "optimize_trajectory", "rh_step", "rollout_score",
-    "RewardWeights", "bank_penalty", "belief_reward", "cold_cells_penalty",
-    "fire_distance_penalty", "proximity_penalty",
+    "RHConfig", "RHPolicy", "optimize_trajectory",
+    "RewardWeights", "bank_penalty", "belief_reward", "belief_rewards", "cold_cells_penalty",
+    "fire_distance_penalty", "observation_rewards", "proximity_penalty",
     "BeliefMap", "PolarObservation", "RangeBins", "build_range_bins",
     "ego_belief_image", "render_observation", "update_belief",
 ]

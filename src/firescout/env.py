@@ -13,8 +13,8 @@ divisor is part of the configuration.
 
 Each team state is sensed once: one sample_polar or ego_belief_images
 call renders every aircraft, and each ordered pair's relative geometry
-is computed once. The network inputs and the rewards all read that one
-result.
+is computed once. The network inputs and the rewards (the array reward
+code the planner runs too) all read that one result.
 
 play flies every evaluation, suite and render episode. A policy is any
 callable (sim, action_rng) -> list[Action], one action per aircraft.
@@ -31,10 +31,11 @@ from .aircraft import Action, AircraftState, RelativeGeometry, apply_action, \
     integrate, relative_geometry, wrap_angle
 from .fire import FireGrid, PropagationParams, SeedPattern, Wind, apply_seed, \
     new_grid, pre_grow, step_fire
-from .rewards import RewardWeights, bank_penalty, belief_reward, \
-    cold_cells_penalty, fire_distance_penalty, proximity_penalty
-from .sensing import BeliefMap, PolarObservation, build_range_bins, \
-    ego_belief_images, sample_polar, update_belief
+from .rewards import RewardWeights, belief_rewards, observation_rewards
+from .rewards import bank_penalty, belief_reward, cold_cells_penalty, \
+    fire_distance_penalty, proximity_penalty  # noqa: F401 (the benchmark's tracer wraps them here)
+from .sensing import BeliefMap, build_range_bins, ego_belief_images, sample_polar, \
+    update_belief
 from .sensing import ego_belief_image, \
     render_observation  # noqa: F401 (the benchmark's tracer wraps them here)
 
@@ -89,17 +90,11 @@ class SimConfig:
     def horizon_steps(self) -> int:
         return int(round(self.horizon_seconds * self.decision_hz))
 
-    def observation_image_shape(self) -> tuple[int, int, int]:
-        return (self.n_range_bins, self.n_angle_bins, 1)
-
-    def belief_image_shape(self) -> tuple[int, int, int]:
-        return (self.grid_height, self.grid_width, 2)
-
     def image_shape(self, approach: str) -> tuple[int, int, int]:
         if approach == OBSERVATION:
-            return self.observation_image_shape()
+            return (self.n_range_bins, self.n_angle_bins, 1)
         if approach == BELIEF:
-            return self.belief_image_shape()
+            return (self.grid_height, self.grid_width, 2)
         raise ValueError(f"unknown approach {approach!r}")
 
 
@@ -186,21 +181,17 @@ class SurveillanceSim:
         return hit[2]
 
     def _observations(self):
+        """(sample_polar flags (n, n_range, n_angle), network images)."""
         def observe(states):
             values = sample_polar(self.grid, [s.x for s in states], [s.y for s in states],
                                   [s.psi for s in states], self.bins, self.config.n_angle_bins)
-            return (values[..., None].astype(np.float32),
-                    tuple(PolarObservation(values=v, bins=self.bins) for v in values))
+            return values, values[..., None].astype(np.float32)
         return self._per_state(OBSERVATION, self.grid, observe)
-
-    def observation(self, i: int) -> PolarObservation:
-        """Aircraft i's polar view of the true fire."""
-        return self._observations()[1][i]
 
     def team_images(self, approach: str) -> np.ndarray:
         """Every aircraft's network image, shape (n, h, w, c) float32."""
         if approach == OBSERVATION:
-            return self._observations()[0]
+            return self._observations()[1]
         if approach == BELIEF:
             return self._per_state(BELIEF, self.belief,
                                    lambda states: ego_belief_images(self.belief, states))
@@ -227,28 +218,26 @@ class SurveillanceSim:
 
     # -- rewards ------------------------------------------------------------
 
-    def observation_reward(self, i: int) -> float:
-        """Dense shaping reward for aircraft i at the current state."""
-        cfg = self.config
-        obs = self.observation(i)
-        total = (fire_distance_penalty(obs, self.bins, cfg.weights)
-                 + cold_cells_penalty(obs, self.bins, cfg.weights)
-                 + bank_penalty(self.aircraft[i].phi, cfg.weights))
-        for g in self.pair_geometries()[i]:
-            total += proximity_penalty(g.rho, cfg.weights)
-        return total
-
-    def belief_reward(self, i: int, discovered: int) -> float:
-        return belief_reward(discovered, self.pair_geometries()[i], self.config.weights)
-
     def rewards(self, approach: str, discovered: int) -> tuple[float, ...]:
         """Every aircraft's reward under approach at the current state."""
-        team = range(len(self.aircraft))
+        w = self.config.weights
+        peer_rho = np.array([[g.rho for g in row] for row in self.pair_geometries()])
+        peer_rho = peer_rho.reshape(len(self.aircraft), len(self.aircraft) - 1)
         if approach == OBSERVATION:
-            return tuple(self.observation_reward(i) for i in team)
-        if approach == BELIEF:
-            return tuple(self.belief_reward(i, discovered) for i in team)
-        raise ValueError(f"unknown approach {approach!r}")
+            phi = np.array([s.phi for s in self.aircraft])
+            out = observation_rewards(self._observations()[0], phi, peer_rho, self.bins, w)
+        elif approach == BELIEF:
+            out = belief_rewards(discovered, peer_rho, w)
+        else:
+            raise ValueError(f"unknown approach {approach!r}")
+        return tuple(out.tolist())
+
+    # The benchmark's tracer wraps these two by name.
+    def observation_reward(self, i: int) -> float:
+        return self.rewards(OBSERVATION, 0)[i]
+
+    def belief_reward(self, i: int, discovered: int) -> float:
+        return self.rewards(BELIEF, discovered)[i]
 
     def discovery_score(self, discovered: int) -> float:
         """The evaluation metric's per-step increment (always >= 0)."""

@@ -25,7 +25,7 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 
-from .aircraft import Action, AircraftState
+from .aircraft import AircraftState
 from .dqn import GreedyPolicy, TrainingConfig, mean_stderr, \
     select_action_multi  # noqa: F401 (the benchmark's tracer wraps it here)
 from .env import BELIEF, OBSERVATION, SimConfig, SurveillanceSim, play, random_policy
@@ -33,7 +33,7 @@ from .fire import ArcSeed, CircularSeed, FireGrid, SeedPattern, TShapeSeed, \
     _seed_cells, burning_channel_u8
 from .nn import NetworkConfig, QNetwork, load_weights
 from .pgm import write_pgm
-from .receding_horizon import RHConfig, RHController, rh_step
+from .receding_horizon import RHConfig, RHPolicy
 from .sensing import BeliefMap, belief_channels_u8
 
 # Controller -> the approach whose reward its episode CSV logs. A net
@@ -261,19 +261,6 @@ def save_scenario(path, sc: Scenario) -> None:
 
 # -- controllers ------------------------------------------------------------
 
-class _RHPolicy:
-    """One receding-horizon planner per aircraft, for one episode."""
-
-    def __init__(self, cfg: RHConfig, n_aircraft: int):
-        self.cfg = cfg
-        self.controllers = [RHController() for _ in range(n_aircraft)]
-
-    def __call__(self, sim: SurveillanceSim, action_rng) -> list[Action]:
-        return [rh_step(ctrl, sim.grid, sim.aircraft[i],
-                        [sim.aircraft[j] for j in sim.peer_indices(i)], self.cfg, action_rng)
-                for i, ctrl in enumerate(self.controllers)]
-
-
 def _load_net(path, controller: str) -> QNetwork:
     if path is None:
         raise ScenarioError(f"weights_path: required for {controller}")
@@ -288,7 +275,7 @@ def _make_policy(sc: Scenario, net: QNetwork | None):
     if sc.controller == "random":
         return random_policy
     if sc.controller == "receding-horizon":
-        return _RHPolicy(sc.rh, sc.sim.n_aircraft)
+        return RHPolicy(sc.rh, sc.sim.n_aircraft)
     if sc.controller in NET_CONTROLLERS:
         if sc.sim.n_aircraft < 2:
             raise ScenarioError(
@@ -438,9 +425,6 @@ def write_summary_csv(path, entries: list[SuiteEntry]) -> None:
 
 # -- profiles ---------------------------------------------------------------
 
-PROFILES = ("desk", "paper")
-
-
 def desk_scenario() -> Scenario:
     """Small, minutes-scale setup: 1 km square at 50 m cells, coarse sensor.
 
@@ -464,42 +448,39 @@ def paper_scenario() -> Scenario:
     return scenario_from_dict({})
 
 
+# profile -> (scenario, NetworkConfig and TrainingConfig fields). Short desk
+# episodes and a coarse sensor leave a small action-gap signal, so desk training
+# leans on a shorter credit horizon and a replay large enough that nothing is
+# ever evicted; capped exploration keeps the buffer from collapsing onto one policy.
+_PROFILES = {
+    "desk": (desk_scenario,
+             dict(conv_stages=2, conv_filters=8, image_dense=(64, 32),
+                  continuous_dense=(32, 32), merge_dense=(64,)),
+             dict(total_iterations=40_000, gamma=0.9, epsilon_end=0.2, target_update_period=500,
+                  prefill=5000, replay_capacity=100_000, eval_episodes=2)),
+    "paper": (paper_scenario, {}, dict(total_iterations=1_000_000)),
+}
+PROFILES = tuple(_PROFILES)
+
+
+def _profile(profile: str):
+    if profile not in _PROFILES:
+        raise ScenarioError(f"profile: expected one of {', '.join(PROFILES)}, got {profile!r}")
+    return _PROFILES[profile]
+
+
 def profile_scenario(profile: str) -> Scenario:
-    if profile == "desk":
-        return desk_scenario()
-    if profile == "paper":
-        return paper_scenario()
-    raise ScenarioError(f"profile: expected one of {', '.join(PROFILES)}, got {profile!r}")
+    return _profile(profile)[0]()
 
 
 def profile_net_config(profile: str, approach: str, sim: SimConfig) -> NetworkConfig:
-    image_shape = sim.image_shape(approach)
-    if profile == "paper":
-        return NetworkConfig(image_shape=image_shape)
-    if profile == "desk":
-        return NetworkConfig(image_shape=image_shape, conv_stages=2, conv_filters=8,
-                             image_dense=(64, 32), continuous_dense=(32, 32),
-                             merge_dense=(64,))
-    raise ScenarioError(f"profile: expected one of {', '.join(PROFILES)}, got {profile!r}")
+    return NetworkConfig(image_shape=sim.image_shape(approach), **_profile(profile)[1])
 
 
 def profile_training_config(profile: str, approach: str,
                             total_iterations: int | None = None) -> TrainingConfig:
-    if profile == "paper":
-        return TrainingConfig(
-            total_iterations=1_000_000 if total_iterations is None else total_iterations,
-            approach=approach)
-    if profile == "desk":
-        # Short episodes and a coarse sensor leave a small action-gap
-        # signal, so the desk runs lean on a shorter credit horizon and
-        # a replay large enough that nothing is ever evicted; capped
-        # exploration keeps the buffer from collapsing onto one policy.
-        return TrainingConfig(
-            total_iterations=40_000 if total_iterations is None else total_iterations,
-            approach=approach, gamma=0.9, epsilon_end=0.2,
-            target_update_period=500, prefill=5000,
-            replay_capacity=100_000, eval_episodes=2)
-    raise ScenarioError(f"profile: expected one of {', '.join(PROFILES)}, got {profile!r}")
+    cfg = TrainingConfig(approach=approach, **_profile(profile)[2])
+    return cfg if total_iterations is None else replace(cfg, total_iterations=total_iterations)
 
 
 # -- rendering --------------------------------------------------------------

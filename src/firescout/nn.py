@@ -69,13 +69,14 @@ class Relu:
         return dout * cache, []
 
 
-# Conv2D.backward builds dx one kernel tap at a time when c > 1 and each
-# tap's (n*h*w, c) block of the dcols product takes more than this many
-# bytes, else from the whole (n*h*w, k*k*c) product. Each tap's GEMM then has
-# the same bits as its columns of the whole product. Smaller or one-column
-# (c == 1) products may go to other BLAS kernels that sum in another order:
-# numpy sends a one-column product to gemv, and OpenBLAS sends products of at
-# most 1,200 entries with 32 or more terms to a small-matrix kernel.
+# Conv2D.backward builds a float32 layer's dx one kernel tap at a time when
+# c > 1 and each tap's (n*h*w, c) block of the dcols product takes more than
+# this many bytes, else from the whole (n*h*w, k*k*c) product. Each tap's GEMM
+# then has the same bits as its columns of the whole product. Smaller or
+# one-column (c == 1) products, and float64 ones, may go to BLAS kernels that
+# sum in another order: numpy sends a one-column product to gemv, OpenBLAS
+# sends products of at most 1,200 entries with 32 or more terms to a
+# small-matrix kernel, and float64 taps with c = 45, 50 or 65 lost bits.
 _TAP_MIN_BYTES = 1 << 17
 
 # A float32 Conv2D layer whose whole (n*h*w, k*k*c) im2col matrix would take
@@ -182,7 +183,8 @@ class Conv2D:
         db = dflat.sum(axis=0)
         if not input_grad:
             return None, [dw, db]
-        if c > 1 and dflat.shape[0] * c * dflat.itemsize > _TAP_MIN_BYTES:
+        if (c > 1 and np.result_type(dflat, self.weight) == np.float32
+                and dflat.shape[0] * c * dflat.itemsize > _TAP_MIN_BYTES):
             def tap(di, dj):
                 return (dflat @ self.weight[di, dj].T).reshape(n, h, w, c)
         else:
@@ -334,10 +336,6 @@ class QNetwork:
 
     def parameters(self) -> list[np.ndarray]:
         return [p for layer in self.layers for p in layer.params]
-
-    @property
-    def n_parameters(self) -> int:
-        return sum(p.size for p in self.parameters())
 
     def clone(self) -> "QNetwork":
         """Deep copy: training either network never touches the other."""

@@ -1,9 +1,9 @@
 """Receding-horizon baseline: coordinate descent on bank-action sequences.
 
 Plans against a frozen snapshot of the true fire map and frozen peer
-positions, scores candidate trajectories with the dense observation
-rewards, executes a prefix, then re-plans. Each aircraft plans
-independently; there is no joint action space.
+positions, scores candidate trajectories with the simulator's dense
+observation reward, executes a prefix, then re-plans (RHPolicy). Each
+aircraft plans independently; there is no joint action space.
 
 The restarts descend in lockstep: each round flies a window of
 single-flip candidates per restart as rows of one array and samples the
@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .aircraft import G, SPEED, Action, AircraftState, apply_action, \
     integrate, wrap_angle  # noqa: F401 (integrate: _fly repeats it on arrays)
 from .fire import FireGrid
-from .rewards import RewardWeights
+from .rewards import RewardWeights, observation_rewards
 from .sensing import RangeBins, build_range_bins, sample_polar
 
 
@@ -104,32 +104,15 @@ def _fly(start: AircraftState, actions: np.ndarray, dt: float):
 
 def _tail_rewards(grid, start, actions, first, peers, w, bins, n_angle_bins, dt):
     """Dense reward of every state of every row of actions (n, T) from
-    column first[i] on, 0 before it, as the scalar reward terms give it.
+    column first[i] on, 0 before it; peers stay put.
     """
     tail = np.arange(actions.shape[1]) >= first[:, None]
     x, y, psi, phi = (v[tail] for v in _fly(start, actions, dt))
-    values = sample_polar(grid, x, y, psi, bins, n_angle_bins).transpose(1, 2, 0)
-    radii = bins.centers
-    nearest = np.where(values.any(axis=1), radii[:, None], np.inf).min(axis=0)
-    r1 = -w.lambda1 * np.where(np.isinf(nearest), bins.max_range, nearest)
-    r2 = -w.lambda2 * (~values[radii < w.r0]).sum(axis=(0, 1))
-    total = r1 + r2 + -w.lambda3 * phi * phi
-    for p in peers:
-        total = total - w.lambda4 * np.exp(-np.hypot(x - p.x, y - p.y) / w.c)
+    values = sample_polar(grid, x, y, psi, bins, n_angle_bins)
+    peer_rho = np.array([np.hypot(x - p.x, y - p.y) for p in peers]).reshape(len(peers), len(x))
     out = np.zeros(actions.shape)
-    out[tail] = total
+    out[tail] = observation_rewards(values, phi, peer_rho.T, bins, w)
     return out
-
-
-def rollout_score(grid: FireGrid, start: AircraftState, actions: list[Action],
-                  peers: list[AircraftState], w: RewardWeights, bins: RangeBins,
-                  n_angle_bins: int = 30, dt: float = 0.1) -> float:
-    """Total dense reward of flying the sequence over the unchanged fire map.
-
-    Peers stay put for the separation term. An empty sequence scores 0.
-    """
-    return float(_tail_rewards(grid, start, np.array([actions], dtype=np.intp), np.zeros(1),
-                               peers, w, bins, n_angle_bins, dt).sum())
 
 
 def optimize_trajectory(grid: FireGrid, start: AircraftState,
@@ -175,20 +158,20 @@ def optimize_trajectory(grid: FireGrid, start: AircraftState,
     return [Action(int(a)) for a in plans[best]], float(scores[best])
 
 
-@dataclass
-class RHController:
-    """Per-aircraft plan buffer; empty means a re-plan is due."""
+class RHPolicy:
+    """One receding-horizon planner per aircraft, for one episode: each
+    flies the first execute_steps actions of its latest plan, then plans
+    afresh against the current fire map and peer positions."""
 
-    pending: list[Action] = field(default_factory=list)
+    def __init__(self, cfg: RHConfig, n_aircraft: int):
+        self.cfg = cfg
+        self.pending: list[list[Action]] = [[] for _ in range(n_aircraft)]
 
-
-def rh_step(controller: RHController, grid: FireGrid, aircraft: AircraftState,
-            peers: list[AircraftState], cfg: RHConfig,
-            rng: np.random.Generator) -> Action:
-    """Emit the next action, planning a fresh trajectory when the buffer
-    of the previous plan's first execute_steps actions runs out.
-    """
-    if not controller.pending:
-        plan, _ = optimize_trajectory(grid, aircraft, peers, cfg, rng)
-        controller.pending = list(plan[:cfg.execute_steps])
-    return controller.pending.pop(0)
+    def __call__(self, sim, action_rng: np.random.Generator) -> list[Action]:
+        for i, pending in enumerate(self.pending):
+            if not pending:
+                peers = [sim.aircraft[j] for j in sim.peer_indices(i)]
+                plan, _ = optimize_trajectory(sim.grid, sim.aircraft[i], peers, self.cfg,
+                                              action_rng)
+                pending += plan[:self.cfg.execute_steps]
+        return [pending.pop(0) for pending in self.pending]

@@ -5,12 +5,16 @@ polar image: distance to the nearest observed fire, non-burning cells
 close to the aircraft, bank-angle magnitude, and proximity to the other
 aircraft. The belief reward pays for newly discovered burning cells
 (shared by the whole team) minus the same exponential proximity penalty.
+The simulator and the planner run the array forms, observation_rewards
+and belief_rewards; the scalar terms are their test reference.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .aircraft import RelativeGeometry
 from .sensing import PolarObservation, RangeBins
@@ -81,4 +85,29 @@ def belief_reward(discovered: int, geoms: list[RelativeGeometry],
     total = w.discovery_reward * discovered
     for g in geoms:
         total += proximity_penalty(g.rho, w, weight=w.lambda_prox_belief)
+    return total
+
+
+def observation_rewards(values: np.ndarray, phi: np.ndarray, peer_rho: np.ndarray,
+                        bins: RangeBins, w: RewardWeights) -> np.ndarray:
+    """Observation reward (m,) of m states from their polar flags values
+    (m, n_range, n_angle), banks phi (m,) and peer ranges peer_rho (m, p):
+    fire distance + cold cells + bank, then each peer's term in turn.
+    """
+    radii = bins.centers
+    nearest = np.where(values.any(axis=2), radii, np.inf).min(axis=1)
+    r1 = -w.lambda1 * np.where(np.isinf(nearest), bins.max_range, nearest)
+    r2 = -w.lambda2 * (~values[:, radii < w.r0]).sum(axis=(1, 2))
+    total = r1 + r2 + -w.lambda3 * phi * phi
+    for rho in peer_rho.T:
+        total = total - w.lambda4 * np.exp(-rho / w.c)
+    return total
+
+
+def belief_rewards(discovered: int, peer_rho: np.ndarray, w: RewardWeights) -> np.ndarray:
+    """Belief reward of m aircraft that share discovered, shape (m,)
+    float64; peer_rho (m, p) as in observation_rewards."""
+    total = np.full(len(peer_rho), w.discovery_reward * discovered)
+    for rho in peer_rho.T:
+        total = total - w.lambda_prox_belief * np.exp(-rho / w.c)
     return total

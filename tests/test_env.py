@@ -1,23 +1,29 @@
-"""Tests for the simulator's per-state cache.
+"""Tests for the simulator's per-state cache and its team rewards.
 
 The team's polar observations or ego belief images are rendered by one
 batched call per (fire grid or belief map, team state) pair, and each
 ordered pair's relative geometry is computed once per team state; the
 collectors, the evaluation loop and the rewards all read that one result.
+The array rewards equal the scalar reward terms summed per aircraft.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from firescout import env
 from firescout.aircraft import Action, AircraftState, relative_geometry
 from firescout.dqn import ReplayBuffer, _Collector
 from firescout.env import BELIEF, OBSERVATION, SurveillanceSim
+from firescout.fire import FireGrid
 from firescout.harness import desk_scenario, profile_net_config, run_episode
 from firescout.nn import QNetwork
-from firescout.rewards import belief_reward
+from firescout.rewards import bank_penalty, belief_reward, cold_cells_penalty, \
+    fire_distance_penalty, proximity_penalty
 from firescout.sensing import ego_belief_image, render_observation
 
 STEPS = 12
@@ -90,7 +96,7 @@ def test_each_pair_geometry_computed_once_per_team_state(monkeypatch):
         expect = np.array([[g.phi_own, g.rho / sim.config.rho_scale, g.theta,
                             g.psi_rel, g.phi_other] for g in geoms], dtype=np.float32)
         assert conts[i].tobytes() == expect.tobytes()
-        assert rewards[i] == belief_reward(0, geoms, sim.config.weights)
+        assert_within_ulps(rewards[i], belief_reward(0, geoms, sim.config.weights), 2)
     # the team's reward tuple holds the per-aircraft rewards, bit for bit
     observation = [sim.observation_reward(i) for i in range(3)]
     belief = [sim.belief_reward(i, 3) for i in range(3)]
@@ -101,7 +107,6 @@ def test_each_pair_geometry_computed_once_per_team_state(monkeypatch):
 def assert_images_fresh(sim):
     for i, state in enumerate(sim.aircraft):
         fresh = render_observation(sim.grid, state, sim.bins, sim.config.n_angle_bins)
-        assert np.array_equal(sim.observation(i).values, fresh.values)
         assert np.array_equal(sim.state_image(i, OBSERVATION)[:, :, 0], fresh.values)
         assert np.array_equal(sim.state_image(i, BELIEF),
                               ego_belief_image(sim.belief, state))
@@ -122,8 +127,63 @@ def test_cached_images_equal_fresh_renders_after_step_and_reset():
 def test_cache_follows_a_replaced_aircraft_state():
     sim = desk_sim()
     sim.reset(np.random.default_rng(6))
-    before = sim.observation(0)
-    assert sim.observation(0) is before
+    before = sim.team_images(OBSERVATION)
+    assert sim.team_images(OBSERVATION) is before
     sim.aircraft[0] = AircraftState(x=500.0, y=500.0, psi=1.0)
-    assert sim.observation(0) is not before
+    assert sim.team_images(OBSERVATION) is not before
     assert_images_fresh(sim)
+
+
+def assert_within_ulps(got, want, ulps):
+    assert abs(got - want) <= ulps * np.spacing(abs(want)), (got, want)
+
+
+def scalar_rewards(sim, discovered):
+    """Each aircraft's rewards summed from the scalar terms, one at a time."""
+    cfg, w = sim.config, sim.config.weights
+    observation, belief = [], []
+    for i, own in enumerate(sim.aircraft):
+        geoms = [relative_geometry(own, sim.aircraft[j]) for j in sim.peer_indices(i)]
+        obs = render_observation(sim.grid, own, sim.bins, cfg.n_angle_bins)
+        total = (fire_distance_penalty(obs, sim.bins, w) + cold_cells_penalty(obs, sim.bins, w)
+                 + bank_penalty(own.phi, w))
+        for g in geoms:
+            total += proximity_penalty(g.rho, w)
+        observation.append(total)
+        belief.append(belief_reward(discovered, geoms, w))
+    return observation, belief
+
+
+@settings(max_examples=150, deadline=None)
+@given(n_aircraft=st.integers(1, 4), fire=st.booleans(), discovered=st.integers(0, 6),
+       seed=st.integers(0, 2**32 - 1))
+def test_team_rewards_equal_scalar_sums(n_aircraft, fire, discovered, seed):
+    """sim.rewards equals the scalar per-aircraft sums within 2 ulps, the
+    last-bit gap between np.exp and math.exp. With fire, aircraft 0 flies
+    over a burning cell; without, nothing burns."""
+    sim = desk_sim(n_aircraft)
+    rng = np.random.default_rng(seed)
+    sim.reset(rng)
+    ex, ey = sim.grid.extent
+    sim.aircraft = [AircraftState(x=float(rng.uniform(-0.2, 1.2) * ex),
+                                  y=float(rng.uniform(-0.2, 1.2) * ey),
+                                  psi=float(rng.uniform(-math.pi, math.pi)),
+                                  phi=float(rng.uniform(-0.9, 0.9)))
+                    for _ in range(n_aircraft)]
+    if fire:
+        iy, ix = np.nonzero(sim.grid.burning)
+        k = int(rng.integers(len(ix)))
+        cs = sim.grid.cell_size
+        sim.aircraft[0] = replace(sim.aircraft[0], x=(ix[k] + 0.5) * cs, y=(iy[k] + 0.5) * cs)
+    else:
+        sim.grid = FireGrid(sim.grid.fuel, np.zeros_like(sim.grid.burning), sim.grid.cell_size)
+    observation, belief = scalar_rewards(sim, discovered)
+    for approach, want in ((OBSERVATION, observation), (BELIEF, belief)):
+        got = sim.rewards(approach, discovered)
+        assert type(got) is tuple and [type(r) for r in got] == [float] * n_aircraft
+        for g, r in zip(got, want):
+            assert_within_ulps(g, r, 2)
+    if fire:
+        assert sim.team_images(OBSERVATION)[0].any()
+    else:
+        assert not sim.team_images(OBSERVATION).any()

@@ -248,10 +248,12 @@ class TestConv2D:
             assert_same_bits(also, want)
 
     @settings(max_examples=40, deadline=None)
-    @given(c=st.sampled_from([1, 2, 8, 64]), k=st.sampled_from([3, 5]),
+    @given(c=st.sampled_from([1, 2, 8, 45, 50, 64, 65]), k=st.sampled_from([3, 5]),
            n_out=st.sampled_from([1, 7, 8, 32, 64]), dtype=st.sampled_from([np.float32, np.float64]),
            h=st.integers(3, 12), w=st.integers(3, 12), extra=st.integers(0, 2),
            seed=st.integers(0, 2**32 - 1))
+    # float64 per-tap dx lost bits here, so float64 layers keep the whole product
+    @example(c=45, k=3, n_out=7, dtype=np.float64, h=3, w=3, extra=0, seed=0)
     def test_large_batches_bit_identical_to_oracle(self, c, k, n_out, dtype, h, w, extra, seed):
         """Batches whose per-tap products are past the size from which dx
         is built one kernel tap at a time (for c > 1)."""
@@ -399,10 +401,10 @@ class TestQNetworkStructure:
     def test_full_scale_parameter_counts(self):
         belief = QNetwork(NetworkConfig(image_shape=(100, 100, 2)),
                           np.random.default_rng(0))
-        assert belief.n_parameters == 4_855_474
+        assert sum(p.size for p in belief.parameters()) == 4_855_474
         obs = QNetwork(NetworkConfig(image_shape=(40, 30, 1)),
                        np.random.default_rng(0))
-        assert obs.n_parameters == 726_898
+        assert sum(p.size for p in obs.parameters()) == 726_898
 
     def test_flatten_width_after_three_pools(self):
         net = QNetwork(NetworkConfig(image_shape=(100, 100, 2)),
@@ -941,11 +943,8 @@ class TestStepMemoryAndDtype:
                 "_, grads = net.loss_and_gradients(images, conts, rng.integers(0, 2, 64), targets)\n"
                 "opt.step(net.parameters(), grads)\n"
                 "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
-        package_root = os.path.dirname(os.path.dirname(os.path.abspath(firescout.__file__)))
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
-            p for p in (package_root, os.environ.get("PYTHONPATH")) if p)}
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=300)
+        proc = subprocess.run([sys.executable, "-c", code], env=one_blas_thread_env(),
+                              capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         assert int(proc.stdout) < 600 * 1024, f"ru_maxrss {int(proc.stdout) / 1024:.0f} MB"
 
@@ -959,3 +958,24 @@ class TestStepMemoryAndDtype:
             opt.step(net.parameters(), grads)
             for arrays in (net.parameters(), opt.m, opt.u):
                 assert [a.dtype for a in arrays] == [np.float32] * len(grads)
+
+
+def one_blas_thread_env():
+    """os.environ for a child process that imports this firescout package and
+    runs OpenBLAS on one thread, as benchmark/bootstrap.py pins it."""
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(firescout.__file__)))
+    return {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+            "MKL_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+                p for p in (package_root, os.environ.get("PYTHONPATH")) if p)}
+
+
+def test_bit_identity_holds_on_one_blas_thread():
+    """Split GEMMs can keep their bits at one thread count and lose them at
+    another, and this process runs at the default count: rerun the network
+    and large-batch conv bit-identity tests in a child on one thread."""
+    tests = [f"{__file__}::TestNetworkBitIdentity",
+             f"{__file__}::TestConv2D::test_large_batches_bit_identical_to_oracle"]
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           *tests], env=one_blas_thread_env(), capture_output=True, text=True,
+                          timeout=600, cwd=os.path.dirname(os.path.dirname(__file__)))
+    assert proc.returncode == 0, proc.stdout[-4000:]

@@ -1,7 +1,7 @@
 """Tests for the receding-horizon planner.
 
-rollout_score is checked against a step-by-step replay using the scalar
-reward functions; the small-horizon optimizer is checked against
+rollout_score, the planner's scoring of one sequence, is checked
+against a step-by-step replay using the scalar reward functions; the small-horizon optimizer is checked against
 exhaustive enumeration of all 2^T sequences. The batched planner is
 checked against the scalar descent it replaced, kept here as an oracle:
 plans and scores must be identical, not merely close.
@@ -10,6 +10,7 @@ plans and scores must be identical, not merely close.
 import itertools
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,13 +19,7 @@ from firescout.aircraft import Action, AircraftState, apply_action, integrate
 from firescout.env import SurveillanceSim
 from firescout.fire import FireGrid
 from firescout.harness import desk_scenario
-from firescout.receding_horizon import (
-    RHConfig,
-    RHController,
-    optimize_trajectory,
-    rh_step,
-    rollout_score,
-)
+from firescout.receding_horizon import RHConfig, RHPolicy, _tail_rewards, optimize_trajectory
 from firescout.rewards import (
     RewardWeights,
     bank_penalty,
@@ -35,6 +30,13 @@ from firescout.rewards import (
 from firescout.sensing import build_range_bins, render_observation, sample_polar
 
 W = RewardWeights()
+
+
+def rollout_score(grid, start, actions, peers, w, bins, n_angle_bins=30, dt=0.1):
+    """Total dense reward the planner gives flying the sequence over the
+    unchanged fire map, peers staying put. An empty sequence scores 0."""
+    return float(_tail_rewards(grid, start, np.array([actions], dtype=np.intp), np.zeros(1),
+                               peers, w, bins, n_angle_bins, dt).sum())
 
 
 def scene(seed=0, size=30, burn_frac=0.08):
@@ -195,18 +197,24 @@ class TestRhStep:
     CFG = RHConfig(horizon_steps=8, execute_steps=3, restarts=2,
                    n_range_bins=6, n_angle_bins=6, max_range_m=150.0)
 
+    @staticmethod
+    def team(grid, *aircraft):
+        """The simulator fields RHPolicy reads."""
+        return SimpleNamespace(grid=grid, aircraft=list(aircraft), peer_indices=lambda i: [
+            j for j in range(len(aircraft)) if j != i])
+
     def test_prefix_execution_then_replan(self):
-        """The controller flies the first execute_steps of each plan; a
-        twin rng consumed in lockstep predicts both plans exactly."""
+        """The policy flies the first execute_steps of each plan; a twin
+        rng consumed in lockstep predicts both plans exactly."""
         grid, state, _ = scene(9)
         ctrl_rng = np.random.default_rng(33)
         twin_rng = np.random.default_rng(33)
-        ctrl = RHController()
+        policy = RHPolicy(self.CFG, 1)
 
         flown = []
         s = state
         for _ in range(6):  # two plan cycles of tau = 3
-            a = rh_step(ctrl, grid, s, [], self.CFG, ctrl_rng)
+            [a] = policy(self.team(grid, s), ctrl_rng)
             flown.append(a)
             s = integrate(apply_action(s, a), self.CFG.dt)
 
@@ -220,13 +228,30 @@ class TestRhStep:
 
     def test_buffer_drains_before_replanning(self):
         grid, state, _ = scene(10)
-        ctrl = RHController()
+        policy = RHPolicy(self.CFG, 1)
+        team = self.team(grid, state)
         rng = np.random.default_rng(1)
-        rh_step(ctrl, grid, state, [], self.CFG, rng)
-        assert len(ctrl.pending) == 2  # tau - 1 actions left
-        rh_step(ctrl, grid, state, [], self.CFG, rng)
-        rh_step(ctrl, grid, state, [], self.CFG, rng)
-        assert len(ctrl.pending) == 0
+        policy(team, rng)
+        assert len(policy.pending[0]) == 2  # tau - 1 actions left
+        policy(team, rng)
+        policy(team, rng)
+        assert len(policy.pending[0]) == 0
+
+    def test_aircraft_plan_in_order_against_their_peers(self):
+        """Aircraft 0 plans first, then aircraft 1, each against the other;
+        a strong proximity weight makes the peer change the plans."""
+        cfg = replace(self.CFG, weights=RewardWeights(lambda4=200.0))
+        grid, state, _ = scene(11)
+        other = replace(state, x=state.x + 20.0, y=state.y + 10.0)
+        policy = RHPolicy(cfg, 2)
+        first = policy(self.team(grid, state, other), np.random.default_rng(3))
+        twin_rng = np.random.default_rng(3)
+        plans = [optimize_trajectory(grid, state, [other], cfg, twin_rng)[0],
+                 optimize_trajectory(grid, other, [state], cfg, twin_rng)[0]]
+        assert [[a, *pending] for a, pending in zip(first, policy.pending)] == [
+            plan[:3] for plan in plans]
+        alone, _ = optimize_trajectory(grid, state, [], cfg, np.random.default_rng(3))
+        assert alone[:3] != plans[0][:3]
 
 
 # -- scalar oracle -------------------------------------------------------------
