@@ -15,6 +15,10 @@ sends its gradient to the same position either way; in a window of values
 <= 0 the gradient is a zero, which may land on another position but adds
 nothing to the sums that follow.
 
+A network's parameters live in one vector (``QNetwork.vector``); each
+layer's weight and bias are views into it, in parameters() order. Copies
+of a network copy the vector, and AdaMax updates it in one elementwise pass.
+
 Everything is plain numpy. Plain ``forward`` calls are pure and safe to
 run concurrently; training uses an explicit cache-passing path so no
 layer mutates shared state.
@@ -23,25 +27,44 @@ layer mutates shared state.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 
+_NO_DRAWS = object()  # as rng: build a network whose vector the caller fills
+
+
 def _glorot(rng: np.random.Generator, shape, fan_in: int, fan_out: int, dtype):
+    if rng is _NO_DRAWS:
+        return np.empty(shape, dtype)
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape).astype(dtype)
+
+
+def _views(vector: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive views of a 1-d vector, one of each shape, in order."""
+    ends = np.cumsum([math.prod(shape) for shape in shapes], dtype=np.int64)
+    return [part.reshape(shape) for part, shape in zip(np.split(vector, ends[:-1]), shapes)]
+
+
+def _column_sums(a: np.ndarray) -> np.ndarray:
+    """a.sum(axis=0) with its bits: both add the rows in order into zeros, einsum
+    with less overhead per row. A one-column sum is pairwise, so numpy keeps it."""
+    return np.einsum("ij->j", a) if a.shape[1] > 1 else a.sum(axis=0)
+
+
+def _outside(d: int, pad: int, size: int) -> slice:
+    """The output rows (or columns) that kernel offset d maps into the padding."""
+    return slice(None, pad - d) if d < pad else slice(max(size + pad - d, 0), None)
 
 
 class Dense:
     def __init__(self, n_in: int, n_out: int, rng: np.random.Generator, dtype):
         self.weight = _glorot(rng, (n_in, n_out), n_in, n_out, dtype)
         self.bias = np.zeros(n_out, dtype=dtype)
-
-    @property
-    def params(self):
-        return [self.weight, self.bias]
 
     def forward(self, x):
         return x @ self.weight + self.bias
@@ -50,15 +73,10 @@ class Dense:
         return x @ self.weight + self.bias, x
 
     def backward(self, cache, dout):
-        x = cache
-        dw = x.T @ dout
-        db = dout.sum(axis=0)
-        return dout @ self.weight.T, [dw, db]
+        return dout @ self.weight.T, [cache.T @ dout, _column_sums(dout)]
 
 
 class Relu:
-    params: list = []
-
     def forward(self, x):
         return np.maximum(x, 0)
 
@@ -69,26 +87,22 @@ class Relu:
         return dout * cache, []
 
 
+# A split GEMM keeps the bits of the whole product only on the kernels the
+# whole one uses: numpy sends a one-column product to gemv, OpenBLAS sends
+# products of at most 10**6 multiply-adds (or 1,200 entries with 32 or more
+# terms) to a small-matrix kernel, and split float64 products lost bits.
+#
 # Conv2D.backward builds a float32 layer's dx one kernel tap at a time when
 # c > 1 and each tap's (n*h*w, c) block of the dcols product takes more than
-# this many bytes, else from the whole (n*h*w, k*k*c) product. Each tap's GEMM
-# then has the same bits as its columns of the whole product. Smaller or
-# one-column (c == 1) products, and float64 ones, may go to BLAS kernels that
-# sum in another order: numpy sends a one-column product to gemv, OpenBLAS
-# sends products of at most 1,200 entries with 32 or more terms to a
-# small-matrix kernel, and float64 taps with c = 45, 50 or 65 lost bits.
+# _TAP_MIN_BYTES, else from the whole (n*h*w, k*k*c) product.
 _TAP_MIN_BYTES = 1 << 17
 
-# A float32 Conv2D layer whose whole (n*h*w, k*k*c) im2col matrix would take
-# more than _COLUMNS_MAX_BYTES never builds it. Its forward pass multiplies
-# im2col one chunk of whole images at a time and caches its input, and
-# backward computes dw one kernel tap at a time, as (c, n*h*w) @ (n*h*w, n_out)
-# products. Each chunk's or tap's GEMM has the same bits as its rows of the
-# whole product while it stays off the small-matrix kernel (at most 10**6
-# multiply-adds) and off gemv (a dimension of 1), and while each tap's product
-# has more than 1,200 entries; smaller taps, and float64 products, lost bits
-# when OpenBLAS ran them on two threads. So the split is taken only where one
-# image's product and one tap's product pass all three limits.
+# A float32 layer whose whole im2col matrix would take more than
+# _COLUMNS_MAX_BYTES multiplies it one chunk of whole images at a time and
+# caches its input; backward then computes dw one tap at a time, as
+# (c, n*h*w) @ (n*h*w, n_out) products. _splits takes it only where one image's
+# and one tap's product have no dimension of 1 and over _SMALL_GEMM_MNK
+# multiply-adds, and a tap over _SMALL_GEMM_ENTRIES (smaller ones lost bits).
 _COLUMNS_MAX_BYTES = 8 << 20
 _SMALL_GEMM_MNK = 10 ** 6
 _SMALL_GEMM_ENTRIES = 1200
@@ -105,14 +119,9 @@ class Conv2D:
         if kernel % 2 != 1:
             raise ValueError("kernel size must be odd for same padding")
         self.kernel = kernel
-        fan_in = kernel * kernel * n_in
-        fan_out = kernel * kernel * n_out
-        self.weight = _glorot(rng, (kernel, kernel, n_in, n_out), fan_in, fan_out, dtype)
+        self.weight = _glorot(rng, (kernel, kernel, n_in, n_out), kernel * kernel * n_in,
+                              kernel * kernel * n_out, dtype)
         self.bias = np.zeros(n_out, dtype=dtype)
-
-    @property
-    def params(self):
-        return [self.weight, self.bias]
 
     def _splits(self, x_shape, dtype) -> bool:
         """Whether a (n, h, w, c) input of dtype skips the whole im2col matrix."""
@@ -135,13 +144,17 @@ class Conv2D:
         """The (n*h*w, k*k*c) im2col matrix of a padded input."""
         n, c = xp.shape[0], xp.shape[3]
         k = self.kernel
+        if c == 1:  # k*k strided copies; a window copy would move one float at a time
+            cols = np.empty((n, h, w, k * k), xp.dtype)
+            for t in range(k * k):
+                cols[..., t] = xp[:, t // k:t // k + h, t % k:t % k + w, 0]
+            return cols.reshape(n * h * w, k * k)
         s0, s1, s2, s3 = xp.strides  # window view (n, h, w, k, k, c), checked to fit in xp
         windows = np.ndarray((n, h, w, k, k, c), xp.dtype, xp, 0, (s0, s1, s2, s1, s2, s3))
         return np.ascontiguousarray(windows).reshape(n * h * w, k * k * c)
 
     def forward(self, x):
-        y, _ = self.forward_cached(x)
-        return y
+        return self.forward_cached(x)[0]
 
     def forward_cached(self, x):
         """(y, cache); the cache holds the im2col matrix, or x itself
@@ -150,97 +163,103 @@ class Conv2D:
         w2 = self.weight.reshape(-1, self.weight.shape[-1])
         xp = self._padded(x)
         if not self._splits(x.shape, x.dtype):
-            cols = self._columns(xp, h, w)
-            y = cols @ w2
-            y += self.bias
-            return y.reshape(n, h, w, -1), (cols, x.shape)
-        step = max(1, _COLUMNS_MAX_BYTES // (h * w * w2.shape[0] * x.itemsize))
-        y = np.empty((n * h * w, w2.shape[1]), np.result_type(x, w2))
-        for i in range(0, n, step):
-            np.matmul(self._columns(xp[i:i + step], h, w), w2,
-                      out=y[i * h * w:min(i + step, n) * h * w])
-        y += self.bias
-        return y.reshape(n, h, w, -1), (x, x.shape)
+            cache = self._columns(xp, h, w)
+            y = cache @ w2
+        else:
+            step = max(1, _COLUMNS_MAX_BYTES // (h * w * w2.shape[0] * x.itemsize))
+            y = np.empty((n * h * w, w2.shape[1]), np.result_type(x, w2))
+            for i in range(0, n, step):
+                np.matmul(self._columns(xp[i:i + step], h, w), w2,
+                          out=y[i * h * w:min(i + step, n) * h * w])
+            cache = x
+        # the bias repeated over an image's pixels: one add loop per image, not per pixel
+        per_image = y.reshape(n, h * w * w2.shape[1])
+        per_image += self.bias[None, :].repeat(h * w, axis=0).reshape(-1)
+        return y.reshape(n, h, w, -1), (cache, x.shape)
 
     def backward(self, cache, dout, input_grad=True):
         """(dx, [dw, db]); dx is None when input_grad is false."""
-        a, x_shape = cache
-        n, h, w, c = x_shape
+        a, (n, h, w, c) = cache
+        del cache
         k = self.kernel
         pad = (k - 1) // 2
-        kkc = k * k * c
-        n_out = dout.shape[-1]
-        dflat = dout.reshape(-1, n_out)
+        dflat = dout.reshape(-1, dout.shape[-1])
         if a.ndim == 2:
             dw = (a.T @ dflat).reshape(self.weight.shape)
         else:  # a is the layer input: dw one tap at a time
             xp = self._padded(a)
             dw = np.empty(self.weight.shape, np.result_type(a, dflat))
-            for di in range(k):
-                for dj in range(k):
-                    shifted = np.ascontiguousarray(xp[:, di:di + h, dj:dj + w, :])
-                    dw[di, dj] = shifted.reshape(-1, c).T @ dflat
-        db = dflat.sum(axis=0)
+            for t in range(k * k):
+                shifted = np.ascontiguousarray(xp[:, t // k:t // k + h, t % k:t % k + w, :])
+                dw[t // k, t % k] = shifted.reshape(-1, c).T @ dflat
+        del a  # frees the im2col matrix, whose memory dcols can then reuse
+        db = _column_sums(dflat)
         if not input_grad:
             return None, [dw, db]
-        if (c > 1 and np.result_type(dflat, self.weight) == np.float32
-                and dflat.shape[0] * c * dflat.itemsize > _TAP_MIN_BYTES):
-            def tap(di, dj):
-                return (dflat @ self.weight[di, dj].T).reshape(n, h, w, c)
-        else:
-            dcols = (dflat @ self.weight.reshape(kkc, n_out).T).reshape(n, h, w, k, k, c)
-
-            def tap(di, dj):
-                return dcols[:, :, :, di, dj, :]
-        dxp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=dout.dtype)
-        for di in range(k):
-            for dj in range(k):
-                dxp[:, di:di + h, dj:dj + w, :] += tap(di, dj)
-        return dxp[:, pad:pad + h, pad:pad + w, :], [dw, db]
+        # col2im into a flat buffer, the padded input without its column padding:
+        # tap (di, dj) adds into one contiguous run, in the oracle's tap order.
+        # What would fall in the padding lands on other pixels here, so it is
+        # zeroed first; +0.0 changes no sum (each starts at +0.0, so none is -0.0).
+        size = n * h * w * c
+        dx = np.zeros(size + 2 * (pad * w + pad) * c, dout.dtype)
+        per_tap = (c > 1 and np.result_type(dflat, self.weight) == np.float32
+                   and dflat.shape[0] * c * dflat.itemsize > _TAP_MIN_BYTES)
+        if not per_tap:
+            dcols = dflat @ self.weight.reshape(-1, dflat.shape[1]).T
+        for t in range(k * k):
+            di, dj = divmod(t, k)
+            tap = dflat @ self.weight[di, dj].T if per_tap else dcols[:, t * c:(t + 1) * c]
+            tap = tap.reshape(n, h, w, c)
+            tap[:, _outside(di, pad, h)] = 0
+            tap[:, :, _outside(dj, pad, w)] = 0
+            run = dx[(di * w + dj) * c:][:size].reshape(n, h, w, c)
+            run += tap
+        return dx[(pad * w + pad) * c:][:size].reshape(n, h, w, c), [dw, db]
 
 
 class MaxPool2:
     """Non-overlapping 2x2 max pooling; odd trailing rows/columns are dropped."""
 
-    params: list = []
-
-    @staticmethod
-    def _quadrants(x):
-        """Strided views x[:, i::2, j::2] of the full windows, in window order."""
-        oh, ow = x.shape[1] // 2, x.shape[2] // 2
-        return [x[:, i:2 * oh:2, j:2 * ow:2] for i in (0, 1) for j in (0, 1)]
-
     def forward(self, x):
-        q00, q01, q10, q11 = self._quadrants(x)
-        return np.maximum(np.maximum(q00, q01), np.maximum(q10, q11))
+        # row pairs first, on whole rows; the order could only pick between -0.0
+        # and +0.0, which ReLU, the next layer, maps to +0.0 either way
+        oh, ow = x.shape[1] // 2, x.shape[2] // 2
+        rows = np.maximum(x[:, 0:2 * oh:2], x[:, 1:2 * oh:2])
+        return np.maximum(rows[:, :, 0:2 * ow:2], rows[:, :, 1:2 * ow:2])
 
     def forward_cached(self, x):
         y = self.forward(x)
-        q00, q01, q10, _ = self._quadrants(x)
+        oh, ow = y.shape[1:3]
         # cache each maximum's row-major window position, as uint8: the number of
         # leading positions that miss it, so that a tie goes to the first
-        miss = q00 != y
+        miss = x[:, 0:2 * oh:2, 0:2 * ow:2] != y
         pos = miss.astype(np.uint8)
-        for q in (q01, q10):
-            miss &= q != y
+        for i, j in ((0, 1), (1, 0)):
+            miss &= x[:, i:2 * oh:2, j:2 * ow:2] != y
             pos += miss
         return y, (pos, x.shape)
 
     def backward(self, cache, dout):
         pos, (n, h, w, c) = cache
-        # flat index into dx of each window's top-left element, plus the winner's offset
-        idx = (np.arange(n)[:, None, None, None] * (h * w * c) + np.arange(c)
-               + np.arange(pos.shape[1])[:, None, None] * (2 * w * c)
-               + np.arange(pos.shape[2])[:, None] * (2 * c))
-        idx += np.array([0, c, w * c, (w + 1) * c])[pos]
+        oh, ow = pos.shape[1:3]
+        # index into an image of dx of each window's top-left element, and the
+        # offset from it of each window position
+        rows = np.arange(oh)[:, None, None] * (2 * w * c)
+        corner = rows + np.arange(ow)[:, None] * (2 * c) + np.arange(c)
+        offsets = np.array([0, c, w * c, (w + 1) * c])
         dx = np.zeros((n, h, w, c), dtype=dout.dtype)
-        dx.reshape(-1)[idx.reshape(-1)] = dout.reshape(-1)
+        # each winner's index into dx, a chunk of images at a time; np.take
+        # makes an int64 copy of the positions, then the int64 index
+        step = max(1, _COLUMNS_MAX_BYTES // (16 * corner.size or 1))
+        for i in range(0, n, step):
+            idx = np.take(offsets, pos[i:i + step])
+            idx += corner + np.arange(i, i + len(idx))[:, None, None, None] * (h * w * c)
+            dx.reshape(-1)[idx.reshape(-1)] = dout[i:i + step].reshape(-1)
+            del idx  # before the next chunk's index is made
         return dx, []
 
 
 class Flatten:
-    params: list = []
-
     def forward(self, x):
         return x.reshape(x.shape[0], -1)
 
@@ -249,6 +268,26 @@ class Flatten:
 
     def backward(self, cache, dout):
         return dout.reshape(cache), []
+
+
+def _dense_stack(width: int, sizes, rng, dtype) -> tuple[list, int]:
+    """Dense + ReLU layers of the given sizes on width inputs, and their output width."""
+    layers = []
+    for n in sizes:
+        layers += [Dense(width, n, rng, dtype), Relu()]
+        width = n
+    return layers, width
+
+
+def _forward(layers, x, caches=None):
+    """x through layers; with a caches list, each layer's forward cache is appended."""
+    for layer in layers:
+        if caches is None:
+            x = layer.forward(x)
+        else:
+            x, cache = layer.forward_cached(x)
+            caches.append(cache)
+    return x
 
 
 @dataclass(frozen=True)
@@ -269,17 +308,6 @@ class NetworkConfig:
     merge_dense: tuple[int, ...] = (200, 200)
     n_actions: int = 2
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NetworkConfig":
-        d = dict(d)
-        d["image_shape"] = tuple(d["image_shape"])
-        for key in ("image_dense", "continuous_dense", "merge_dense"):
-            d[key] = tuple(d[key])
-        return cls(**d)
-
 
 class QNetwork:
     """Action-value approximator: forward maps (image, continuous) to one
@@ -293,40 +321,29 @@ class QNetwork:
         self.config = config
         self.dtype = dtype
 
-        h, w, c = config.image_shape
+        h, w, channels = config.image_shape
         self.image_layers = []
-        channels = c
         for _ in range(config.conv_stages):
-            self.image_layers += [
-                Conv2D(channels, config.conv_filters, rng, dtype, config.kernel_size),
-                MaxPool2(),
-                Relu(),
-            ]
-            channels = config.conv_filters
-            h, w = h // 2, w // 2
+            self.image_layers += [Conv2D(channels, config.conv_filters, rng, dtype,
+                                         config.kernel_size), MaxPool2(), Relu()]
+            channels, h, w = config.conv_filters, h // 2, w // 2
         if h < 1 or w < 1:
             raise ValueError("image too small for the configured number of pool stages")
-        self.image_layers.append(Flatten())
-        width = h * w * channels
-        for n in config.image_dense:
-            self.image_layers += [Dense(width, n, rng, dtype), Relu()]
-            width = n
-        image_out = width
-
-        self.continuous_layers = []
-        width = config.n_continuous
-        for n in config.continuous_dense:
-            self.continuous_layers += [Dense(width, n, rng, dtype), Relu()]
-            width = n
-        cont_out = width
-
-        self.merge_layers = []
-        width = image_out + cont_out
-        for n in config.merge_dense:
-            self.merge_layers += [Dense(width, n, rng, dtype), Relu()]
-            width = n
+        dense, self._image_out = _dense_stack(h * w * channels, config.image_dense, rng, dtype)
+        self.image_layers += [Flatten(), *dense]
+        self.continuous_layers, cont_out = _dense_stack(config.n_continuous,
+                                                        config.continuous_dense, rng, dtype)
+        self.merge_layers, width = _dense_stack(self._image_out + cont_out, config.merge_dense,
+                                                rng, dtype)
         self.merge_layers.append(Dense(width, config.n_actions, rng, dtype))
-        self._image_out = image_out
+
+        # one vector holds every weight and bias; the layers keep views of it
+        params = self.parameters()
+        self.vector = np.concatenate([p.reshape(-1) for p in params])
+        views = iter(_views(self.vector, [p.shape for p in params]))
+        for layer in self.layers:
+            if hasattr(layer, "weight"):
+                layer.weight, layer.bias = next(views), next(views)
 
     # -- parameter access ---------------------------------------------------
 
@@ -335,25 +352,25 @@ class QNetwork:
         return self.image_layers + self.continuous_layers + self.merge_layers
 
     def parameters(self) -> list[np.ndarray]:
-        return [p for layer in self.layers for p in layer.params]
+        """Every weight and bias, layer by layer: consecutive views of self.vector."""
+        return [p for layer in self.layers if hasattr(layer, "weight")
+                for p in (layer.weight, layer.bias)]
 
     def clone(self) -> "QNetwork":
         """Deep copy: training either network never touches the other."""
-        twin = QNetwork(self.config, rng=np.random.default_rng(0), dtype=self.dtype)
-        for mine, theirs in zip(self.parameters(), twin.parameters()):
-            theirs[...] = mine
+        twin = QNetwork(self.config, rng=_NO_DRAWS, dtype=self.dtype)
+        twin.vector[...] = self.vector
         return twin
 
     # -- inference ----------------------------------------------------------
 
     def _check_shapes(self, images, conts):
         if images.shape[1:] != self.config.image_shape:
-            raise ValueError(
-                f"image shape {images.shape[1:]} does not match network input "
-                f"{self.config.image_shape}")
+            raise ValueError(f"image shape {images.shape[1:]} does not match network input "
+                             f"{self.config.image_shape}")
         if conts.shape[1] != self.config.n_continuous:
-            raise ValueError(
-                f"expected {self.config.n_continuous} continuous inputs, got {conts.shape[1]}")
+            raise ValueError(f"expected {self.config.n_continuous} continuous inputs, "
+                             f"got {conts.shape[1]}")
 
     def forward_batch(self, images: np.ndarray, conts: np.ndarray) -> np.ndarray:
         """Action values of each (image, continuous) row, shape (n, n_actions)."""
@@ -362,11 +379,10 @@ class QNetwork:
     def forward_team(self, images: np.ndarray, pair_conts: np.ndarray) -> np.ndarray:
         """Summed pairwise action values of a team, shape (n, n_actions).
 
-        images is (n, h, w, c), one per aircraft; pair_conts is
-        (n, p, n_continuous), one row per (aircraft, peer) pair. The image
-        branch runs once per aircraft and the continuous branch once per
-        pair; each pair's Q-row comes from its owner's image features, and
-        the p rows of each owner are summed.
+        images is (n, h, w, c), one per aircraft; pair_conts is (n, p,
+        n_continuous), one row per (aircraft, peer) pair. The image branch
+        runs once per aircraft, the continuous branch once per pair; each
+        owner's p pair rows, made from its image features, are summed.
         """
         n, p = np.shape(pair_conts)[:2]
         return self._pair_rows(images, pair_conts).reshape(n, p, -1).sum(axis=1)
@@ -380,47 +396,22 @@ class QNetwork:
         self._check_shapes(images, conts)
         if len(images) != n:
             raise ValueError(f"{len(images)} images for {n} rows of pair inputs")
-        a = images
-        for layer in self.image_layers:
-            a = layer.forward(a)
-        b = conts
-        for layer in self.continuous_layers:
-            b = layer.forward(b)
-        z = np.concatenate([np.repeat(a, p, axis=0), b], axis=1)
-        for layer in self.merge_layers:
-            z = layer.forward(z)
-        return z
+        a, b = _forward(self.image_layers, images), _forward(self.continuous_layers, conts)
+        return _forward(self.merge_layers, np.concatenate([np.repeat(a, p, axis=0), b], axis=1))
 
     def forward(self, image: np.ndarray, cont: np.ndarray) -> np.ndarray:
         """Single-sample action values, shape (n_actions,)."""
-        q = self.forward_batch(np.asarray(image)[None, ...], np.asarray(cont)[None, :])
-        return q[0]
+        return self.forward_batch(np.asarray(image)[None, ...], np.asarray(cont)[None, :])[0]
 
     # -- training -----------------------------------------------------------
-
-    def _forward_cached(self, images, conts):
-        caches = []
-        a = images
-        for layer in self.image_layers:
-            a, cache = layer.forward_cached(a)
-            caches.append(cache)
-        b = conts
-        for layer in self.continuous_layers:
-            b, cache = layer.forward_cached(b)
-            caches.append(cache)
-        z = np.concatenate([a, b], axis=1)
-        for layer in self.merge_layers:
-            z, cache = layer.forward_cached(z)
-            caches.append(cache)
-        return z, caches
 
     def loss_and_gradients(self, images, conts, actions, targets):
         """Mean squared error of the taken actions' values against targets.
 
         Returns (loss, gradients) with gradients ordered like parameters().
         Only the taken action's output contributes for each sample. Each
-        image layer's forward cache is dropped once its backward pass has
-        run, so the activations are freed as the pass goes.
+        layer's forward cache is dropped once its backward pass has used
+        it, so the activations are freed as the pass goes.
         """
         images = np.asarray(images, dtype=self.dtype)
         conts = np.asarray(conts, dtype=self.dtype)
@@ -430,7 +421,10 @@ class QNetwork:
         if len(actions) == 0:
             raise ValueError("batch must be non-empty")
 
-        q, caches = self._forward_cached(images, conts)
+        caches = []
+        a = _forward(self.image_layers, images, caches)
+        b = _forward(self.continuous_layers, conts, caches)
+        q = _forward(self.merge_layers, np.concatenate([a, b], axis=1), caches)
         n = q.shape[0]
         rows = np.arange(n)
         err = q[rows, actions] - targets
@@ -439,27 +433,24 @@ class QNetwork:
         dq = np.zeros_like(q)
         dq[rows, actions] = (2.0 / n) * err
 
-        n_img, n_cont = len(self.image_layers), len(self.continuous_layers)
         grads_rev = []
-        d = dq
-        for i in range(len(self.merge_layers) - 1, -1, -1):
-            d, g = self.merge_layers[i].backward(caches[n_img + n_cont + i], d)
-            grads_rev.append(g)
-        d_img, d_cont = d[:, :self._image_out], d[:, self._image_out:]
-        for i in range(n_cont - 1, -1, -1):
-            d_cont, g = self.continuous_layers[i].backward(caches[n_img + i], d_cont)
-            grads_rev.append(g)
-        for i in range(n_img - 1, -1, -1):
-            if i == 0 and isinstance(self.image_layers[0], Conv2D):
-                # the images themselves need no gradient
-                d_img, g = self.image_layers[0].backward(caches[0], d_img, input_grad=False)
-            else:
-                d_img, g = self.image_layers[i].backward(caches[i], d_img)
-            caches[i] = None
-            grads_rev.append(g)
 
-        grads = [g for layer_grads in reversed(grads_rev) for g in layer_grads]
-        return loss, grads
+        def backward(layers, d):
+            for layer in reversed(layers):  # pop: the layer holds its cache's last reference
+                d, g = layer.backward(caches.pop(), d)
+                grads_rev.append(g)
+            return d
+
+        d = backward(self.merge_layers, dq)
+        backward(self.continuous_layers, d[:, self._image_out:])
+        first, *rest = self.image_layers
+        d = backward(rest, d[:, :self._image_out])
+        if isinstance(first, Conv2D):  # the images themselves need no gradient
+            grads_rev.append(first.backward(caches.pop(), d, input_grad=False)[1])
+        else:
+            backward([first], d)
+
+        return loss, [g for layer_grads in reversed(grads_rev) for g in layer_grads]
 
 
 class AdaMax:
@@ -468,43 +459,56 @@ class AdaMax:
     Per step: m <- b1*m + (1-b1)*g, u <- max(b2*u, |g|), and each
     parameter moves by -(alpha / (1 - b1^t)) * m / u with u floored at
     1e-8 to avoid division by zero.
+
+    m and u are one vector each (self.m, self.u: per-parameter views). A step
+    over the views of one vector it was built with (a network's parameters())
+    updates that vector in one pass, other arrays one by one; the update is
+    elementwise, so the bits are the same either way.
     """
 
     def __init__(self, params: list[np.ndarray], alpha: float = 0.002,
                  beta1: float = 0.9, beta2: float = 0.999):
-        self.alpha = alpha
-        self.beta1 = beta1
-        self.beta2 = beta2
+        self.alpha, self.beta1, self.beta2 = alpha, beta1, beta2
         self.t = 0
-        self.m = [np.zeros_like(p) for p in params]
-        self.u = [np.zeros_like(p) for p in params]
+        self._params = list(params)
+        shapes = [p.shape for p in self._params]
+        self._m = np.zeros(sum(p.size for p in self._params), np.result_type(*self._params))
+        self._u = np.zeros_like(self._m)
+        self.m, self.u = _views(self._m, shapes), _views(self._u, shapes)
+        # the vector that params are consecutive whole views of, if there is one
+        base = self._params[0].base if self._params else None
+        whole = (base is not None and base.ndim == 1 and base.size == self._m.size
+                 and all(a.__array_interface__ == b.__array_interface__
+                         for a, b in zip(self._params, _views(base, shapes))))
+        self._vector = base if whole else None
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
         """Update params in place from one batch of gradients."""
-        if len(params) != len(self.m) or len(grads) != len(self.m):
-            raise ValueError("parameter/gradient count does not match optimizer state")
+        shapes = [m.shape for m in self.m]
+        if [p.shape for p in params] != shapes or [g.shape for g in grads] != shapes:
+            raise ValueError("parameter/gradient shapes do not match optimizer state")
         self.t += 1
         scale = self.alpha / (1.0 - self.beta1 ** self.t)
-        for p, g, m, u in zip(params, grads, self.m, self.u):
-            if p.shape != m.shape or g.shape != m.shape:
-                raise ValueError("parameter/gradient shape does not match optimizer state")
+
+        def update(p, g, m, u):
             m *= self.beta1
             m += (1.0 - self.beta1) * g
             u *= self.beta2
             np.maximum(u, np.abs(g), out=u)
             p -= scale * m / np.maximum(u, 1e-8)
 
+        if self._vector is not None and all(a is b for a, b in zip(params, self._params)):
+            update(self._vector, np.concatenate([g.reshape(-1) for g in grads]), self._m, self._u)
+        else:
+            for p, g, m, u in zip(params, grads, self.m, self.u):
+                update(p, g, m, u)
+
 
 def copy_weights(src: QNetwork, dst: QNetwork) -> None:
     """Overwrite dst's parameters with src's values, in place."""
-    src_params = src.parameters()
-    dst_params = dst.parameters()
-    if len(src_params) != len(dst_params):
+    if [p.shape for p in src.parameters()] != [p.shape for p in dst.parameters()]:
         raise ValueError("networks have different architectures")
-    for a, b in zip(src_params, dst_params):
-        if a.shape != b.shape:
-            raise ValueError("networks have different architectures")
-        b[...] = a
+    dst.vector[...] = src.vector
 
 
 # -- weight serialization ---------------------------------------------------
@@ -517,17 +521,13 @@ def save_weights(net: QNetwork, path) -> None:
     """Versioned binary dump: magic, architecture header, then each
     parameter as a shape-prefixed little-endian float32 array.
     """
-    header = json.dumps(net.config.to_dict(), sort_keys=True).encode()
+    header = json.dumps(asdict(net.config), sort_keys=True).encode()
     params = net.parameters()
     with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<I", _VERSION))
-        f.write(struct.pack("<I", len(header)))
-        f.write(header)
-        f.write(struct.pack("<I", len(params)))
+        f.write(_MAGIC + struct.pack("<II", _VERSION, len(header)) + header
+                + struct.pack("<I", len(params)))
         for p in params:
-            f.write(struct.pack("<I", p.ndim))
-            f.write(struct.pack(f"<{p.ndim}I", *p.shape))
+            f.write(struct.pack(f"<{p.ndim + 1}I", p.ndim, *p.shape))
             f.write(np.ascontiguousarray(p, dtype="<f4").tobytes())
 
 
@@ -557,8 +557,9 @@ def load_weights(path) -> QNetwork:
         raise ValueError(f"{path}: unsupported weight format version {version}")
     header = take(*u32s())
     try:
-        config = NetworkConfig.from_dict(json.loads(bytes(header).decode()))
-        net = QNetwork(config, rng=np.random.default_rng(0), dtype=np.float32)
+        fields = dict(json.loads(bytes(header).decode())).items()
+        config = NetworkConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in fields})
+        net = QNetwork(config, rng=_NO_DRAWS, dtype=np.float32)
     except (ValueError, TypeError, KeyError) as e:
         raise ValueError(f"{path}: bad architecture header ({e})") from e
     params = net.parameters()

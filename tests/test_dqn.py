@@ -7,6 +7,7 @@ The team scorer's oracle runs each aircraft's image, repeated once per
 peer, through forward_batch and sums the rows, as selection once did.
 """
 
+import hashlib
 import math
 import os
 import subprocess
@@ -36,7 +37,8 @@ from firescout.dqn import (
 )
 from firescout.env import BELIEF, OBSERVATION, SimConfig, SurveillanceSim
 from firescout.fire import CircularSeed
-from firescout.harness import desk_scenario, paper_scenario, profile_net_config
+from firescout.harness import (desk_scenario, paper_scenario, profile_net_config,
+                               profile_training_config)
 from firescout.nn import AdaMax, NetworkConfig, QNetwork
 
 TINY_IMAGE = (1, 1, 1)
@@ -620,6 +622,16 @@ class TestRunTraining:
                      small_net_config(), cfg, np.random.default_rng(0))
         rows = n_aircraft * (n_aircraft - 1)
         assert len(pushes) == len(steps) == math.ceil(cfg.prefill / rows) + 5
+
+    def test_pinned_desk_observation_parameters(self):
+        """60 desk observation iterations end on pinned parameter bytes: the
+        kernels, the parameter store and AdaMax keep every bit of the run."""
+        sim = desk_scenario().sim
+        cfg = replace(profile_training_config("desk", OBSERVATION, 60), prefill=256)
+        net, _ = run_training(sim, profile_net_config("desk", OBSERVATION, sim), cfg,
+                              np.random.default_rng(1234))
+        digest = hashlib.sha256(b"".join(p.tobytes() for p in net.parameters())).hexdigest()
+        assert digest == "8630e186c12a20974e2ea248c8b1cd0db03587e8ad887fb6fea0f2da5d891bb3"
 
     def test_mismatched_network_rejected(self):
         bad = NetworkConfig(image_shape=(9, 9, 2), conv_stages=1, conv_filters=2,

@@ -478,6 +478,84 @@ class TestQNetworkStructure:
             copy_weights(a, b)
 
 
+class TestParameterStore:
+    """Every weight and bias is a view into one vector per network."""
+
+    def test_parameters_are_consecutive_views_of_one_vector(self):
+        net = QNetwork(NetworkConfig(image_shape=(10, 8, 1), **DESK), np.random.default_rng(12))
+        params = net.parameters()
+        assert net.vector.ndim == 1 and net.vector.dtype == np.float32
+        assert net.vector.size == sum(p.size for p in params)
+        at = 0
+        for p in params:
+            assert p.base is net.vector and np.shares_memory(p, net.vector)
+            assert np.shares_memory(p, net.vector[at:at + p.size])
+            assert not np.shares_memory(p, net.vector[:at])
+            at += p.size
+        assert np.array_equal(net.vector, np.concatenate([p.reshape(-1) for p in params]))
+        layers = [layer for layer in net.layers if hasattr(layer, "weight")]
+        assert [id(p) for p in params] == [id(p) for layer in layers
+                                          for p in (layer.weight, layer.bias)]
+
+    def test_clone_and_copy_target_stay_independent(self):
+        config = NetworkConfig(image_shape=(10, 8, 1), **DESK)
+        net = QNetwork(config, np.random.default_rng(13))
+        twin, target = net.clone(), QNetwork(config, np.random.default_rng(14))
+        copy_weights(net, target)
+        for other in (twin, target):
+            assert not np.shares_memory(other.vector, net.vector)
+            assert other.vector.tobytes() == net.vector.tobytes()
+        before = net.vector.copy()
+        twin.vector += 1.0
+        target.parameters()[0][...] = 0.0
+        assert net.vector.tobytes() == before.tobytes()
+        net.vector -= 1.0
+        assert twin.vector.tobytes() == (before + 1.0).tobytes()
+        assert not target.parameters()[0].any()
+
+    def test_clone_and_load_draw_no_init_weights(self, tmp_path, monkeypatch):
+        net = QNetwork(SMALL, np.random.default_rng(15))
+        path = tmp_path / "w.bin"
+        save_weights(net, path)
+        draws = []
+        glorot = nn._glorot
+
+        def spy(rng, *args):
+            draws.append(rng)
+            return glorot(rng, *args)
+
+        monkeypatch.setattr(nn, "_glorot", spy)
+        for copy in (net.clone(), load_weights(path)):
+            assert copy.vector.tobytes() == net.vector.tobytes()
+        assert draws and all(rng is nn._NO_DRAWS for rng in draws)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_adamax_on_network_views_follows_the_docstring_formula(self, dtype):
+        """A step over a network's views updates its vector in one pass, with
+        the bits of the per-array update."""
+        config = NetworkConfig(image_shape=(10, 8, 1), **DESK)
+        net = QNetwork(config, np.random.default_rng(16), dtype=dtype)
+        want = [p.copy() for p in net.parameters()]
+        m = [np.zeros_like(p) for p in want]
+        u = [np.zeros_like(p) for p in want]
+        alpha, b1, b2 = 0.01, 0.9, 0.999
+        opt = AdaMax(net.parameters(), alpha=alpha, beta1=b1, beta2=b2)
+        assert opt._vector is net.vector
+        assert all(a.base is opt.m[0].base for a in opt.m)
+        for t in range(1, 6):
+            _, grads = net.loss_and_gradients(*training_batch(config, 16, 16 + t))
+            grads[-1][0] = 0.0  # a coordinate whose u may stay 0, floored at 1e-8
+            opt.step(net.parameters(), grads)
+            for i, g in enumerate(grads):
+                m[i] = b1 * m[i] + (1 - b1) * g
+                u[i] = np.maximum(b2 * u[i], np.abs(g))
+                want[i] = want[i] - (alpha / (1 - b1 ** t)) * m[i] / np.maximum(u[i], 1e-8)
+            for got, expected in zip(net.parameters(), want):
+                assert_same_bits(got, expected)
+            for got, expected in zip(opt.m + opt.u, m + u):
+                assert_same_bits(got, expected)
+
+
 class TestLossAndGradients:
     def test_loss_value_matches_manual(self):
         net = QNetwork(SMALL, np.random.default_rng(10))
@@ -744,6 +822,73 @@ class TestNetworkBitIdentity:
         assert np.isfinite(net.loss_and_gradients(*batch)[0])
 
 
+# (n, h, w) of the small-shape kernel tests: the desk batch, and odd sides
+KERNEL_SIZES = [(64, 10, 8), (3, 7, 5), (1, 9, 3), (5, 4, 11)]
+
+
+def kernel_input(rng, shape, dtype):
+    """Values in {-1, -0.0, 0, 1}: exact ties and negative zeros."""
+    return rng.choice(np.array([-1.0, -0.0, 0.0, 1.0]), size=shape).astype(dtype)
+
+
+class TestSmallShapeKernels:
+    """The small-shape kernels against the reference kernels, bit for bit, at
+    c in {1, 2, 8} and odd sides: the one-channel im2col, the bias added a
+    whole image at a time, the einsum column sums, col2im through the flat
+    buffer from the whole dcols product and tap by tap, the row-pair
+    max-pool and the pool scatter a chunk of images at a time."""
+
+    @pytest.mark.parametrize("n, h, w", KERNEL_SIZES)
+    @pytest.mark.parametrize("c, dtype, per_tap", [
+        (1, np.float32, False), (2, np.float32, False), (8, np.float32, False),
+        (2, np.float32, True), (8, np.float32, True),
+        (1, np.float64, False), (8, np.float64, False),
+    ])
+    def test_conv_layer(self, n, h, w, c, dtype, per_tap, monkeypatch):
+        # per_tap: every float32 layer with c > 1 builds dx one tap at a time
+        monkeypatch.setattr(nn, "_TAP_MIN_BYTES", 0 if per_tap else 1 << 40)
+        rng = np.random.default_rng(n * 1000 + h * 100 + w * 10 + c)
+        layer = Conv2D(c, 8, np.random.default_rng(c), dtype)
+        oracle = OracleConv2D(c, 8, np.random.default_rng(c), dtype)
+        layer.bias[...] = oracle.bias[...] = rng.choice([-2.0, 0.0, 0.5], size=8)
+        x = kernel_input(rng, (n, h, w, c), dtype)
+        y, cache = layer.forward_cached(x)
+        want_y, want_cache = oracle.forward_cached(x)
+        assert_same_bits(y, want_y)
+        dout = upstream_gradient(rng, y.shape, dtype)
+        (dx, grads), (want_dx, want_grads) = (layer.backward(cache, dout),
+                                              oracle.backward(want_cache, dout))
+        for got, want in zip([dx, *grads], [want_dx, *want_grads]):
+            assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("n, h, w", KERNEL_SIZES)
+    @pytest.mark.parametrize("c", [1, 2, 8])
+    @pytest.mark.parametrize("budget", [None, 1], ids=["one-chunk", "image-chunks"])
+    def test_max_pool(self, n, h, w, c, budget, monkeypatch):
+        if budget is not None:
+            monkeypatch.setattr(nn, "_COLUMNS_MAX_BYTES", budget)
+        rng = np.random.default_rng(n * 1000 + h * 100 + w * 10 + c)
+        for x in (rng.integers(-1, 2, size=(n, h, w, c)).astype(np.float32),
+                  Relu().forward(rng.normal(size=(n, h, w, c))).astype(np.float32)):
+            y, (pos, _) = MaxPool2().forward_cached(x)
+            want_y, (want_idx, _) = OracleMaxPool2().forward_cached(x)
+            assert_same_bits(y, want_y)
+            assert np.array_equal(pos, want_idx)
+            dout = upstream_gradient(rng, y.shape, np.float32)
+            assert_same_bits(MaxPool2().backward((pos, x.shape), dout)[0],
+                             OracleMaxPool2().backward((want_idx, x.shape), dout)[0])
+
+    @pytest.mark.parametrize("rows", [1, 7, 1280, 5120])
+    @pytest.mark.parametrize("cols", [1, 2, 8, 64])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_column_sums(self, rows, cols, dtype):
+        rng = np.random.default_rng(rows + cols)
+        a = upstream_gradient(rng, (rows, cols + 3), dtype)
+        a[:, 0] = -0.0  # a column of negative zeros sums to +0.0
+        for view in (a[:, :cols], a[:, 3:]):
+            assert_same_bits(nn._column_sums(view), view.sum(axis=0))
+
+
 class TestAdaMax:
     def test_first_step_exact(self):
         # beta1=0.5, alpha=0.25: scale = 0.5, m = 5, u = 10, delta = 0.25
@@ -924,6 +1069,13 @@ class TestStepMemoryAndDtype:
         peak = self.paper_observation_peak(lambda net, batch: net.loss_and_gradients(*batch))
         assert peak < 50e6, f"peak {peak / 1e6:.1f} MB"
 
+    def test_paper_observation_gradient_peak_without_whole_pool_index(self):
+        """The pool scatter builds its int64 index a chunk of images at a
+        time: the step peaks below the 41.7 MB that two whole int64 index
+        arrays of the layer-1 map (2 x 9.8 MB) and its dx (19.7 MB) set."""
+        peak = self.paper_observation_peak(lambda net, batch: net.loss_and_gradients(*batch))
+        assert peak < 41.7e6, f"peak {peak / 1e6:.1f} MB"
+
     def test_paper_observation_forward_peak(self):
         peak = self.paper_observation_peak(lambda net, batch: net.forward_batch(*batch[:2]))
         assert peak < 40e6, f"peak {peak / 1e6:.1f} MB"
@@ -943,7 +1095,7 @@ class TestStepMemoryAndDtype:
                 "_, grads = net.loss_and_gradients(images, conts, rng.integers(0, 2, 64), targets)\n"
                 "opt.step(net.parameters(), grads)\n"
                 "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
-        proc = subprocess.run([sys.executable, "-c", code], env=one_blas_thread_env(),
+        proc = subprocess.run([sys.executable, "-c", code], env=blas_thread_env(1),
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         assert int(proc.stdout) < 600 * 1024, f"ru_maxrss {int(proc.stdout) / 1024:.0f} MB"
@@ -960,22 +1112,35 @@ class TestStepMemoryAndDtype:
                 assert [a.dtype for a in arrays] == [np.float32] * len(grads)
 
 
-def one_blas_thread_env():
+def blas_thread_env(threads):
     """os.environ for a child process that imports this firescout package and
-    runs OpenBLAS on one thread, as benchmark/bootstrap.py pins it."""
+    runs OpenBLAS on the given number of threads (benchmark/bootstrap.py pins
+    one)."""
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(firescout.__file__)))
-    return {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-            "MKL_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+    count = str(threads)
+    return {**os.environ, "OPENBLAS_NUM_THREADS": count, "OMP_NUM_THREADS": count,
+            "MKL_NUM_THREADS": count, "PYTHONPATH": os.pathsep.join(
                 p for p in (package_root, os.environ.get("PYTHONPATH")) if p)}
+
+
+def run_tests_in_child(tests, env):
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           *tests], env=env, capture_output=True, text=True,
+                          timeout=600, cwd=os.path.dirname(os.path.dirname(__file__)))
+    assert proc.returncode == 0, proc.stdout[-4000:]
 
 
 def test_bit_identity_holds_on_one_blas_thread():
     """Split GEMMs can keep their bits at one thread count and lose them at
     another, and this process runs at the default count: rerun the network
     and large-batch conv bit-identity tests in a child on one thread."""
-    tests = [f"{__file__}::TestNetworkBitIdentity",
-             f"{__file__}::TestConv2D::test_large_batches_bit_identical_to_oracle"]
-    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                           *tests], env=one_blas_thread_env(), capture_output=True, text=True,
-                          timeout=600, cwd=os.path.dirname(os.path.dirname(__file__)))
-    assert proc.returncode == 0, proc.stdout[-4000:]
+    run_tests_in_child([f"{__file__}::TestNetworkBitIdentity",
+                        f"{__file__}::TestConv2D::test_large_batches_bit_identical_to_oracle"],
+                       blas_thread_env(1))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_small_shape_kernels_hold_at_each_blas_thread_count(threads):
+    """The small-shape kernel tests in a child on one and on two OpenBLAS
+    threads, whatever count this process runs at."""
+    run_tests_in_child([f"{__file__}::TestSmallShapeKernels"], blas_thread_env(threads))
