@@ -18,7 +18,7 @@ the flying network consumes.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -150,16 +150,17 @@ def select_action_multi(net: QNetwork, image: np.ndarray,
     return Action(int(np.argmax(q[0])))
 
 
-@dataclass(eq=False)
 class Trainer:
     """Owns the online/target pair and the gradient step bookkeeping."""
 
-    online: QNetwork
-    target: QNetwork
-    buffer: ReplayBuffer
-    optimizer: AdaMax
-    cfg: TrainingConfig
-    iterations: int = field(default=0, init=False)
+    def __init__(self, online: QNetwork, target: QNetwork, buffer: ReplayBuffer,
+                 optimizer: AdaMax, cfg: TrainingConfig):
+        self.online = online
+        self.target = target
+        self.buffer = buffer
+        self.optimizer = optimizer
+        self.cfg = cfg
+        self.iterations = 0
 
     def train_step(self, rng: np.random.Generator) -> float:
         """One uniform batch, one AdaMax step; returns the batch loss."""

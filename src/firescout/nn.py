@@ -15,9 +15,9 @@ sends its gradient to the same position either way; in a window of values
 <= 0 the gradient is a zero, which may land on another position but adds
 nothing to the sums that follow.
 
-A network's parameters live in one vector (``QNetwork.vector``); each
-layer's weight and bias are views into it, in parameters() order. Copies
-of a network copy the vector, and AdaMax updates it in one elementwise pass.
+A network's parameters and each batch's gradients are views of one vector
+each (``QNetwork.vector``, in parameters() order): copying a network copies
+its vector, and an AdaMax step is one elementwise pass over the vectors.
 
 Everything is plain numpy. Plain ``forward`` calls are pure and safe to
 run concurrently; training uses an explicit cache-passing path so no
@@ -26,6 +26,7 @@ layer mutates shared state.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import struct
@@ -46,13 +47,21 @@ def _glorot(rng: np.random.Generator, shape, fan_in: int, fan_out: int, dtype):
 
 def _views(vector: np.ndarray, shapes) -> list[np.ndarray]:
     """Consecutive views of a 1-d vector, one of each shape, in order."""
-    ends = np.cumsum([math.prod(shape) for shape in shapes], dtype=np.int64)
-    return [part.reshape(shape) for part, shape in zip(np.split(vector, ends[:-1]), shapes)]
+    ends = itertools.accumulate(math.prod(shape) for shape in shapes)
+    return [vector[end - math.prod(shape):end].reshape(shape) for shape, end in zip(shapes, ends)]
+
+
+class _VectorViews(list):
+    """Arrays that are the consecutive whole views of vector, in order."""
+
+    def __init__(self, vector: np.ndarray, views: list[np.ndarray]):
+        super().__init__(views)
+        self.vector = vector
 
 
 def _column_sums(a: np.ndarray) -> np.ndarray:
-    """a.sum(axis=0) with its bits: both add the rows in order into zeros, einsum
-    with less overhead per row. A one-column sum is pairwise, so numpy keeps it."""
+    """a.sum(axis=0): einsum adds the rows into zeros in the same order, faster;
+    a one-column sum is pairwise, so numpy keeps it."""
     return np.einsum("ij->j", a) if a.shape[1] > 1 else a.sum(axis=0)
 
 
@@ -338,12 +347,12 @@ class QNetwork:
         self.merge_layers.append(Dense(width, config.n_actions, rng, dtype))
 
         # one vector holds every weight and bias; the layers keep views of it
-        params = self.parameters()
+        weighted = [layer for layer in self.layers if hasattr(layer, "weight")]
+        params = [p for layer in weighted for p in (layer.weight, layer.bias)]
         self.vector = np.concatenate([p.reshape(-1) for p in params])
-        views = iter(_views(self.vector, [p.shape for p in params]))
-        for layer in self.layers:
-            if hasattr(layer, "weight"):
-                layer.weight, layer.bias = next(views), next(views)
+        views = _views(self.vector, [p.shape for p in params])
+        for layer, weight, bias in zip(weighted, views[::2], views[1::2]):
+            layer.weight, layer.bias = weight, bias
 
     # -- parameter access ---------------------------------------------------
 
@@ -353,8 +362,8 @@ class QNetwork:
 
     def parameters(self) -> list[np.ndarray]:
         """Every weight and bias, layer by layer: consecutive views of self.vector."""
-        return [p for layer in self.layers if hasattr(layer, "weight")
-                for p in (layer.weight, layer.bias)]
+        return _VectorViews(self.vector, [p for layer in self.layers if hasattr(layer, "weight")
+                                          for p in (layer.weight, layer.bias)])
 
     def clone(self) -> "QNetwork":
         """Deep copy: training either network never touches the other."""
@@ -408,7 +417,7 @@ class QNetwork:
     def loss_and_gradients(self, images, conts, actions, targets):
         """Mean squared error of the taken actions' values against targets.
 
-        Returns (loss, gradients) with gradients ordered like parameters().
+        Returns (loss, gradients): views of one vector, ordered like parameters().
         Only the taken action's output contributes for each sample. Each
         layer's forward cache is dropped once its backward pass has used
         it, so the activations are freed as the pass goes.
@@ -450,7 +459,8 @@ class QNetwork:
         else:
             backward([first], d)
 
-        return loss, [g for layer_grads in reversed(grads_rev) for g in layer_grads]
+        vector = np.concatenate([g.reshape(-1) for gs in reversed(grads_rev) for g in gs])
+        return loss, _VectorViews(vector, _views(vector, [p.shape for p in self.parameters()]))
 
 
 class AdaMax:
@@ -460,27 +470,19 @@ class AdaMax:
     parameter moves by -(alpha / (1 - b1^t)) * m / u with u floored at
     1e-8 to avoid division by zero.
 
-    m and u are one vector each (self.m, self.u: per-parameter views). A step
-    over the views of one vector it was built with (a network's parameters())
-    updates that vector in one pass, other arrays one by one; the update is
-    elementwise, so the bits are the same either way.
+    m and u are one vector each (self.m, self.u: per-parameter views). Given a
+    network's parameters() and gradients, views of one vector each, a step is
+    one elementwise pass over the vectors, with the bits of one array by array.
     """
 
     def __init__(self, params: list[np.ndarray], alpha: float = 0.002,
                  beta1: float = 0.9, beta2: float = 0.999):
         self.alpha, self.beta1, self.beta2 = alpha, beta1, beta2
         self.t = 0
-        self._params = list(params)
-        shapes = [p.shape for p in self._params]
-        self._m = np.zeros(sum(p.size for p in self._params), np.result_type(*self._params))
+        shapes = [p.shape for p in params]
+        self._m = np.zeros(sum(p.size for p in params), np.result_type(*params))
         self._u = np.zeros_like(self._m)
         self.m, self.u = _views(self._m, shapes), _views(self._u, shapes)
-        # the vector that params are consecutive whole views of, if there is one
-        base = self._params[0].base if self._params else None
-        whole = (base is not None and base.ndim == 1 and base.size == self._m.size
-                 and all(a.__array_interface__ == b.__array_interface__
-                         for a, b in zip(self._params, _views(base, shapes))))
-        self._vector = base if whole else None
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
         """Update params in place from one batch of gradients."""
@@ -489,19 +491,16 @@ class AdaMax:
             raise ValueError("parameter/gradient shapes do not match optimizer state")
         self.t += 1
         scale = self.alpha / (1.0 - self.beta1 ** self.t)
-
-        def update(p, g, m, u):
+        if isinstance(params, _VectorViews) and isinstance(grads, _VectorViews):
+            runs = [(params.vector, grads.vector, self._m, self._u)]  # one pass
+        else:
+            runs = zip(params, grads, self.m, self.u)
+        for p, g, m, u in runs:
             m *= self.beta1
             m += (1.0 - self.beta1) * g
             u *= self.beta2
             np.maximum(u, np.abs(g), out=u)
             p -= scale * m / np.maximum(u, 1e-8)
-
-        if self._vector is not None and all(a is b for a, b in zip(params, self._params)):
-            update(self._vector, np.concatenate([g.reshape(-1) for g in grads]), self._m, self._u)
-        else:
-            for p, g, m, u in zip(params, grads, self.m, self.u):
-                update(p, g, m, u)
 
 
 def copy_weights(src: QNetwork, dst: QNetwork) -> None:

@@ -540,10 +540,11 @@ class TestParameterStore:
         u = [np.zeros_like(p) for p in want]
         alpha, b1, b2 = 0.01, 0.9, 0.999
         opt = AdaMax(net.parameters(), alpha=alpha, beta1=b1, beta2=b2)
-        assert opt._vector is net.vector
+        assert net.parameters().vector is net.vector
         assert all(a.base is opt.m[0].base for a in opt.m)
         for t in range(1, 6):
             _, grads = net.loss_and_gradients(*training_batch(config, 16, 16 + t))
+            assert all(g.base is grads.vector for g in grads)
             grads[-1][0] = 0.0  # a coordinate whose u may stay 0, floored at 1e-8
             opt.step(net.parameters(), grads)
             for i, g in enumerate(grads):
