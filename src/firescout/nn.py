@@ -201,7 +201,7 @@ class Conv2D:
             for t in range(k * k):
                 shifted = np.ascontiguousarray(xp[:, t // k:t // k + h, t % k:t % k + w, :])
                 dw[t // k, t % k] = shifted.reshape(-1, c).T @ dflat
-        del a  # frees the im2col matrix, whose memory dcols can then reuse
+        del a  # frees the im2col matrix (or input), whose memory dcols can reuse
         db = _column_sums(dflat)
         if not input_grad:
             return None, [dw, db]
