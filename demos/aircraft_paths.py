@@ -9,6 +9,7 @@ import math
 import os
 
 from firescout.aircraft import (
+    DT,
     Action,
     AircraftState,
     BANK_LIMIT,
@@ -19,8 +20,6 @@ from firescout.aircraft import (
 
 OUT = os.path.join(os.path.dirname(__file__), "out")
 os.makedirs(OUT, exist_ok=True)
-
-DT = 0.1
 
 # A full circle at 30 degrees of bank: analytic radius and period first.
 phi = math.radians(30.0)

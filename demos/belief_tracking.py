@@ -12,7 +12,7 @@ import os
 
 import numpy as np
 
-from firescout.aircraft import Action, AircraftState, apply_action, integrate
+from firescout.aircraft import DT, AircraftState, integrate
 from firescout.fire import PropagationParams, Wind, step_fire
 from firescout.harness import desk_scenario
 from firescout.env import SurveillanceSim
@@ -34,14 +34,13 @@ rng = np.random.default_rng(99)
 planes = [AircraftState(x=420.0, y=500.0, psi=0.0, phi=math.radians(30.0)),
           AircraftState(x=580.0, y=500.0, psi=math.pi, phi=math.radians(30.0))]
 
-DT = 0.1
 total_discovered = 0
 print("  t    true    believed   new   stalest")
 for step in range(1, 601):
     planes = [integrate(p, DT) for p in planes]
     belief, discovered = update_belief(belief, grid, planes)
     total_discovered += discovered
-    if step % 25 == 0:
+    if step % round(params.step_duration / DT) == 0:    # every 2.5 s, as in an episode
         grid = step_fire(grid, params, wind, rng)
     if step % 100 == 0:
         t = step * DT

@@ -16,6 +16,7 @@ G = 9.81                        # m/s^2
 BANK_STEP = math.radians(5.0)
 BANK_LIMIT = math.radians(50.0)
 SPEED = 20.0                    # m/s, nominal cruise
+DT = 0.1                        # s, one decision step (10 Hz)
 
 
 def wrap_angle(a: float) -> float:
@@ -63,18 +64,18 @@ def apply_action(state: AircraftState, action: Action) -> AircraftState:
     return replace(state, phi=phi)
 
 
-def integrate(state: AircraftState, dt: float, v: float = SPEED) -> AircraftState:
+def integrate(state: AircraftState, dt: float) -> AircraftState:
     """Advance dt seconds at constant speed and bank angle.
 
     With nonzero bank the trajectory is an arc of radius v/omega where
-    omega = g*tan(phi)/v; the update is the exact rotation along it.
+    omega = g*tan(phi)/v and v = SPEED; the update is the exact rotation along it.
     """
-    omega = G * math.tan(state.phi) / v
+    omega = G * math.tan(state.phi) / SPEED
     if abs(omega) < 1e-9:
         return replace(state,
-                       x=state.x + v * math.cos(state.psi) * dt,
-                       y=state.y + v * math.sin(state.psi) * dt)
-    r = v / omega
+                       x=state.x + SPEED * math.cos(state.psi) * dt,
+                       y=state.y + SPEED * math.sin(state.psi) * dt)
+    r = SPEED / omega
     psi_new = state.psi + omega * dt
     return AircraftState(
         x=state.x + r * (math.sin(psi_new) - math.sin(state.psi)),

@@ -23,38 +23,37 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aircraft import Action
-from .env import BELIEF, OBSERVATION, SimConfig, SurveillanceSim, play, random_policy
+from .env import BELIEF, N_PAIR_INPUTS, OBSERVATION, SimConfig, SurveillanceSim, play, \
+    random_policy
 from .nn import AdaMax, NetworkConfig, QNetwork, copy_weights
 
 
 class ReplayBuffer:
     """Preallocated ring storage of pairwise transitions, uniform sampling."""
 
-    def __init__(self, capacity: int, image_shape: tuple[int, int, int],
-                 n_continuous: int = 5):
+    def __init__(self, capacity: int, image_shape: tuple[int, int, int]):
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
         self.capacity = capacity
         self.images = np.zeros((capacity, *image_shape), dtype=np.float32)
-        self.conts = np.zeros((capacity, n_continuous), dtype=np.float32)
+        self.conts = np.zeros((capacity, N_PAIR_INPUTS), dtype=np.float32)
         self.actions = np.zeros(capacity, dtype=np.int64)
         self.rewards = np.zeros(capacity, dtype=np.float32)
         self.next_images = np.zeros(self.images.shape, self.images.dtype)
         self.next_conts = np.zeros(self.conts.shape, self.conts.dtype)
-        self.terminals = np.zeros(capacity, dtype=bool)
         self.size = 0
         self.cursor = 0
 
     def __len__(self) -> int:
         return self.size
 
-    def push(self, images, conts, actions, rewards, next_images, next_conts,
-             terminal: bool) -> None:
+    def push(self, images, conts, actions, rewards, next_images, next_conts) -> None:
         """Write one decision step from the team's arrays: images (n, h, w, c),
-        pair inputs (n, p, 5), actions and rewards (n,). terminal is True
-        only when the step ended the episode un-bootstrapped. Its n*p pair
-        rows go in owner-major order; when they outnumber the ring, the
+        pair inputs (n, p, N_PAIR_INPUTS), actions and rewards (n,). Its n*p
+        pair rows go in owner-major order; when they outnumber the ring, the
         last capacity rows are kept, as n*p single-row writes would leave it.
+        Every episode ends at its time limit, not in a terminal state, so
+        each row bootstraps from its next state (Pardo et al. 2018).
         """
         n, p = conts.shape[:2]
         rows = n * p
@@ -67,7 +66,6 @@ class ReplayBuffer:
         self.rewards[slots] = np.asarray(rewards)[owners]
         self.next_images[slots] = next_images[owners]
         self.next_conts[slots] = next_conts.reshape(rows, -1)[kept]
-        self.terminals[slots] = terminal
         self.cursor = (self.cursor + rows) % self.capacity
         self.size = min(self.size + rows, self.capacity)
 
@@ -79,8 +77,7 @@ class ReplayBuffer:
     def sample(self, batch_size: int, rng: np.random.Generator):
         idx = self.sample_indices(batch_size, rng)
         return (self.images[idx], self.conts[idx], self.actions[idx],
-                self.rewards[idx], self.next_images[idx], self.next_conts[idx],
-                self.terminals[idx])
+                self.rewards[idx], self.next_images[idx], self.next_conts[idx])
 
 
 @dataclass(frozen=True)
@@ -95,8 +92,6 @@ class TrainingConfig:
     epsilon_decay_iters: int | None = None    # None: half of total_iterations
     prefill: int = 50_000
     replay_capacity: int = 100_000
-    learning_rate: float = 0.002
-    bootstrap_on_truncation: bool = True
     eval_period: int | None = None            # None: 5 curve points
     eval_episodes: int = 3
 
@@ -165,10 +160,10 @@ class Trainer:
     def train_step(self, rng: np.random.Generator) -> float:
         """One uniform batch, one AdaMax step; returns the batch loss."""
         cfg = self.cfg
-        images, conts, actions, rewards, next_images, next_conts, terminals = \
+        images, conts, actions, rewards, next_images, next_conts = \
             self.buffer.sample(cfg.batch_size, rng)
         next_q = self.target.forward_batch(next_images, next_conts)
-        targets = rewards + cfg.gamma * next_q.max(axis=1) * ~terminals
+        targets = rewards + cfg.gamma * next_q.max(axis=1)
         loss, grads = self.online.loss_and_gradients(images, conts, actions, targets)
         self.optimizer.step(self.online.parameters(), grads)
         self.iterations += 1
@@ -249,8 +244,8 @@ def _check_run_config(sim_config: SimConfig, net_config: NetworkConfig,
         raise ValueError(
             f"network expects image {net_config.image_shape} but the "
             f"{cfg.approach} approach on this scenario produces {expected}")
-    if net_config.n_continuous != 5:
-        raise ValueError("pairwise state carries exactly 5 continuous inputs")
+    if net_config.n_continuous != N_PAIR_INPUTS:
+        raise ValueError(f"pairwise state carries exactly {N_PAIR_INPUTS} continuous inputs")
     if sim_config.n_aircraft < 2:
         raise ValueError("pairwise training needs at least 2 aircraft")
 
@@ -263,12 +258,11 @@ class _Collector:
     """
 
     def __init__(self, sim: SurveillanceSim, net: QNetwork, buffer: ReplayBuffer,
-                 approach: str, bootstrap_on_truncation: bool):
+                 approach: str):
         self.sim = sim
         self.greedy = GreedyPolicy(net, approach)
         self.buffer = buffer
         self.approach = approach
-        self.bootstrap = bootstrap_on_truncation
         self._needs_reset = True
 
     def collect_step(self, eps: float, rng: np.random.Generator) -> list[Action]:
@@ -286,8 +280,7 @@ class _Collector:
             actions = [g if a is None else a for a, g in zip(actions, greedy)]
         result = sim.step(actions, rng)
         self.buffer.push(images, conts, actions, sim.rewards(self.approach, result.discovered),
-                         sim.team_images(self.approach), sim.pair_inputs(),
-                         result.done and not self.bootstrap)
+                         sim.team_images(self.approach), sim.pair_inputs())
         self._needs_reset = result.done
         return actions
 
@@ -308,11 +301,10 @@ def run_training(sim_config: SimConfig, net_config: NetworkConfig,
 
     online = QNetwork(net_config, rng=init_rng)
     target = online.clone()
-    optimizer = AdaMax(online.parameters(), alpha=cfg.learning_rate)
+    optimizer = AdaMax(online.parameters())
     buffer = ReplayBuffer(cfg.replay_capacity, net_config.image_shape)
     trainer = Trainer(online, target, buffer, optimizer, cfg)
-    collector = _Collector(SurveillanceSim(sim_config), online, buffer, cfg.approach,
-                           cfg.bootstrap_on_truncation)
+    collector = _Collector(SurveillanceSim(sim_config), online, buffer, cfg.approach)
 
     eval_period = cfg.eval_period
     if eval_period is None:

@@ -1,10 +1,11 @@
 """Episode machinery: fire, aircraft and the shared belief stepped together.
 
-Aircraft decide at 10 Hz; the fire advances in a burst once every
-fire_every_steps agent steps (25 by default, matching a 2.5 s fire step
-against 0.1 s decisions); the belief map refreshes every agent step from
-all aircraft positions at once. An episode is a pre-growth phase with no
-aircraft followed by a fixed flying horizon.
+Aircraft decide on one clock, aircraft.DT (0.1 s, 10 Hz). During an
+episode the fire advances once every propagation.step_duration / DT
+decision steps, rounded and at least 1 (25 for the default 2.5 s fire
+step); the belief map refreshes every decision step from all aircraft
+positions at once. An episode is a pre-growth phase with no aircraft
+followed by a fixed flying horizon of horizon_seconds / DT steps.
 
 The five continuous network inputs for the pair (own, other) are
 (phi_own, rho / rho_scale, theta, psi_rel, phi_other). The range is
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aircraft import Action, AircraftState, RelativeGeometry, apply_action, \
+from .aircraft import DT, Action, AircraftState, RelativeGeometry, apply_action, \
     integrate, relative_geometry, wrap_angle
 from .fire import FireGrid, PropagationParams, SeedPattern, Wind, apply_seed, \
     new_grid, pre_grow, step_fire
@@ -41,6 +42,7 @@ from .sensing import ego_belief_image, \
 
 OBSERVATION = "observation"
 BELIEF = "belief"
+N_PAIR_INPUTS = 5    # (phi_own, rho / rho_scale, theta, psi_rel, phi_other)
 
 
 @dataclass(frozen=True)
@@ -62,10 +64,9 @@ class SimConfig:
     n_range_bins: int = 40
     n_angle_bins: int = 30
     max_range_m: float = 500.0
-    decision_hz: float = 10.0
-    fire_every_steps: int = 25
     weights: RewardWeights = RewardWeights()
     rho_scale: float = 100.0
+    dt = DT    # s per decision step; a class attribute, so no scenario sets it
 
     def __post_init__(self):
         if self.n_aircraft < 1:
@@ -73,22 +74,16 @@ class SimConfig:
         if self.spawn_poses is not None and len(self.spawn_poses) != self.n_aircraft:
             raise ValueError(
                 f"{len(self.spawn_poses)} spawn poses given for {self.n_aircraft} aircraft")
-        if self.horizon_seconds <= 0:
-            raise ValueError("horizon must be positive")
+        if self.horizon_seconds < DT:
+            raise ValueError("horizon must be at least one decision step")
         if self.pregrow_seconds < 0:
             raise ValueError("pre-growth time cannot be negative")
-        if self.decision_hz <= 0 or self.fire_every_steps < 1:
-            raise ValueError("invalid decision rate or fire interval")
         if self.rho_scale <= 0:
             raise ValueError("rho_scale must be positive")
 
     @property
-    def dt(self) -> float:
-        return 1.0 / self.decision_hz
-
-    @property
     def horizon_steps(self) -> int:
-        return int(round(self.horizon_seconds * self.decision_hz))
+        return round(self.horizon_seconds / DT)
 
     def image_shape(self, approach: str) -> tuple[int, int, int]:
         if approach == OBSERVATION:
@@ -111,6 +106,9 @@ class SurveillanceSim:
     def __init__(self, config: SimConfig):
         self.config = config
         self.bins = build_range_bins(config.n_range_bins, config.max_range_m)
+        # decision steps per fire step; round(x, 0) stays a float, so a fire
+        # step too long to count in steps just never comes
+        self.fire_every = max(1.0, round(config.propagation.step_duration / DT, 0))
         self.grid: FireGrid | None = None
         self.belief: BeliefMap | None = None
         self.aircraft: list[AircraftState] = []
@@ -155,10 +153,10 @@ class SurveillanceSim:
         if len(actions) != len(self.aircraft):
             raise ValueError(f"{len(actions)} actions for {len(self.aircraft)} aircraft")
         cfg = self.config
-        self.aircraft = [integrate(apply_action(s, a), cfg.dt)
+        self.aircraft = [integrate(apply_action(s, a), DT)
                          for s, a in zip(self.aircraft, actions)]
         self.step_index += 1
-        if self.step_index % cfg.fire_every_steps == 0:
+        if self.step_index % self.fire_every == 0:
             self.grid = step_fire(self.grid, cfg.propagation, cfg.wind, rng)
         self.belief, discovered = update_belief(self.belief, self.grid, self.aircraft)
         self._cache.clear()
@@ -208,12 +206,13 @@ class SurveillanceSim:
             for i in range(len(states))])
 
     def pair_inputs(self) -> np.ndarray:
-        """The network's continuous inputs, shape (n, n - 1, 5) float32, in
-        pair_geometries order."""
+        """The network's continuous inputs, shape (n, n - 1, N_PAIR_INPUTS)
+        float32, in pair_geometries order."""
         def inputs(states):
             rows = [[(g.phi_own, g.rho / self.config.rho_scale, g.theta, g.psi_rel,
                       g.phi_other) for g in row] for row in self.pair_geometries()]
-            return np.array(rows, dtype=np.float32).reshape(len(states), len(states) - 1, 5)
+            n = len(states)
+            return np.array(rows, dtype=np.float32).reshape(n, n - 1, N_PAIR_INPUTS)
         return self._per_state("pair_inputs", None, inputs)
 
     # -- rewards ------------------------------------------------------------

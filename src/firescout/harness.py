@@ -25,7 +25,7 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 
-from .aircraft import AircraftState
+from .aircraft import DT, AircraftState
 from .dqn import GreedyPolicy, TrainingConfig, mean_stderr, \
     select_action_multi  # noqa: F401 (the benchmark's tracer wraps it here)
 from .env import BELIEF, OBSERVATION, SimConfig, SurveillanceSim, play, random_policy
@@ -77,7 +77,7 @@ _FIELDS = {
     "propagation.step_seconds": ("sim.propagation.step_duration", "(0, inf)"),
     "aircraft_count": ("sim.n_aircraft", "[1, inf)"),
     "pregrow_seconds": ("sim.pregrow_seconds", "[0, inf)"),
-    "horizon_seconds": ("sim.horizon_seconds", "(0, inf)"),
+    "horizon_seconds": ("sim.horizon_seconds", f"[{DT}, inf)"),    # one decision step
     "observation.n_range_bins": ("sim.n_range_bins", "[2, inf)"),
     "observation.n_angle_bins": ("sim.n_angle_bins", "[1, inf)"),
     "observation.max_range_m": ("sim.max_range_m", "(0, inf)"),
@@ -337,7 +337,7 @@ def run_episode(sc: Scenario, rng: np.random.Generator | None = None,
     for result in play(sim, policy, rng):
         inc = sim.discovery_score(result.discovered)
         total += inc
-        record.times_s.append(sim.step_index * sc.sim.dt)
+        record.times_s.append(sim.step_index * DT)
         record.states.append(result.aircraft)
         record.rewards.append(sim.rewards(approach, result.discovered))
         record.discovery.append(inc)

@@ -323,10 +323,7 @@ class QNetwork:
     value per action.
     """
 
-    def __init__(self, config: NetworkConfig, rng: np.random.Generator | None = None,
-                 dtype=np.float32):
-        if rng is None:
-            rng = np.random.default_rng()
+    def __init__(self, config: NetworkConfig, rng: np.random.Generator, dtype=np.float32):
         self.config = config
         self.dtype = dtype
 
@@ -408,10 +405,6 @@ class QNetwork:
         a, b = _forward(self.image_layers, images), _forward(self.continuous_layers, conts)
         return _forward(self.merge_layers, np.concatenate([np.repeat(a, p, axis=0), b], axis=1))
 
-    def forward(self, image: np.ndarray, cont: np.ndarray) -> np.ndarray:
-        """Single-sample action values, shape (n_actions,)."""
-        return self.forward_batch(np.asarray(image)[None, ...], np.asarray(cont)[None, :])[0]
-
     # -- training -----------------------------------------------------------
 
     def loss_and_gradients(self, images, conts, actions, targets):
@@ -470,37 +463,34 @@ class AdaMax:
     parameter moves by -(alpha / (1 - b1^t)) * m / u with u floored at
     1e-8 to avoid division by zero.
 
-    m and u are one vector each (self.m, self.u: per-parameter views). Given a
-    network's parameters() and gradients, views of one vector each, a step is
-    one elementwise pass over the vectors, with the bits of one array by array.
+    m and u are one vector each (self.m, self.u: per-parameter views). A step
+    takes a network's parameters() and gradients, views of one vector each,
+    and is one elementwise pass over the vectors; its bits equal those of the
+    same update applied array by array.
     """
 
-    def __init__(self, params: list[np.ndarray], alpha: float = 0.002,
+    def __init__(self, params: _VectorViews, alpha: float = 0.002,
                  beta1: float = 0.9, beta2: float = 0.999):
         self.alpha, self.beta1, self.beta2 = alpha, beta1, beta2
         self.t = 0
         shapes = [p.shape for p in params]
-        self._m = np.zeros(sum(p.size for p in params), np.result_type(*params))
+        self._m = np.zeros_like(params.vector)
         self._u = np.zeros_like(self._m)
         self.m, self.u = _views(self._m, shapes), _views(self._u, shapes)
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+    def step(self, params: _VectorViews, grads: _VectorViews) -> None:
         """Update params in place from one batch of gradients."""
         shapes = [m.shape for m in self.m]
         if [p.shape for p in params] != shapes or [g.shape for g in grads] != shapes:
             raise ValueError("parameter/gradient shapes do not match optimizer state")
         self.t += 1
         scale = self.alpha / (1.0 - self.beta1 ** self.t)
-        if isinstance(params, _VectorViews) and isinstance(grads, _VectorViews):
-            runs = [(params.vector, grads.vector, self._m, self._u)]  # one pass
-        else:
-            runs = zip(params, grads, self.m, self.u)
-        for p, g, m, u in runs:
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            u *= self.beta2
-            np.maximum(u, np.abs(g), out=u)
-            p -= scale * m / np.maximum(u, 1e-8)
+        p, g, m, u = params.vector, grads.vector, self._m, self._u
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        u *= self.beta2
+        np.maximum(u, np.abs(g), out=u)
+        p -= scale * m / np.maximum(u, 1e-8)
 
 
 def copy_weights(src: QNetwork, dst: QNetwork) -> None:

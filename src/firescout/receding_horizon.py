@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aircraft import G, SPEED, Action, AircraftState, apply_action, \
+from .aircraft import DT, G, SPEED, Action, AircraftState, apply_action, \
     integrate, wrap_angle  # noqa: F401 (integrate: _fly repeats it on arrays)
 from .fire import FireGrid
 from .rewards import RewardWeights, observation_rewards
@@ -36,7 +36,7 @@ class RHConfig:
     n_range_bins: int = 40
     n_angle_bins: int = 30
     max_range_m: float = 500.0
-    dt: float = 0.1
+    dt = DT    # s per planned step, the decision step; a class attribute, not a field
 
     def __post_init__(self):
         if not 0 < self.execute_steps < self.horizon_steps:
@@ -63,9 +63,9 @@ def _bank_levels(phi0: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return phi, G * np.array([math.tan(p) for p in phi]) / SPEED, np.array(walk)
 
 
-def _fly(start: AircraftState, actions: np.ndarray, dt: float):
+def _fly(start: AircraftState, actions: np.ndarray):
     """Every state of every row of actions (n, T) as (n, T) arrays x, y,
-    psi, phi, equal to chaining integrate(apply_action(state, a), dt).
+    psi, phi, equal to chaining integrate(apply_action(state, a), DT).
 
     Sums run in integrate's order through np.add.accumulate; a straight
     step adds -0.0 to the heading, which changes no bit. Where a turning
@@ -78,7 +78,7 @@ def _fly(start: AircraftState, actions: np.ndarray, dt: float):
         level[k + 1] = walk.take(level[k] + a)
     phi, omega = phis.take(level[1:]), omegas.take(level[1:])
     turning = np.abs(omega) >= 1e-9
-    steps = np.vstack([np.full(n, start.psi), np.where(turning, omega * dt, -0.0)])
+    steps = np.vstack([np.full(n, start.psi), np.where(turning, omega * DT, -0.0)])
     psi = np.add.accumulate(steps)          # row 0 is the start
     head, row = psi[1:], np.arange(T)[:, None]
     out = turning & ((head > math.pi) | (head <= -math.pi))
@@ -95,19 +95,19 @@ def _fly(start: AircraftState, actions: np.ndarray, dt: float):
     sin_new, cos_new, moved = sin[1:].copy(), cos[1:].copy(), new != head
     sin_new[moved], cos_new[moved] = np.sin(new[moved]), np.cos(new[moved])
     radius = SPEED / np.where(turning, omega, 1.0)
-    dx = np.where(turning, radius * (sin_new - sin[:-1]), SPEED * cos[:-1] * dt)
-    dy = np.where(turning, -(radius * (cos_new - cos[:-1])), SPEED * sin[:-1] * dt)
+    dx = np.where(turning, radius * (sin_new - sin[:-1]), SPEED * cos[:-1] * DT)
+    dy = np.where(turning, -(radius * (cos_new - cos[:-1])), SPEED * sin[:-1] * DT)
     x = np.add.accumulate(np.vstack([np.full(n, start.x), dx]))[1:]
     y = np.add.accumulate(np.vstack([np.full(n, start.y), dy]))[1:]
     return x.T, y.T, head.T, phi.T
 
 
-def _tail_rewards(grid, start, actions, first, peers, w, bins, n_angle_bins, dt):
+def _tail_rewards(grid, start, actions, first, peers, w, bins, n_angle_bins):
     """Dense reward of every state of every row of actions (n, T) from
     column first[i] on, 0 before it; peers stay put.
     """
     tail = np.arange(actions.shape[1]) >= first[:, None]
-    x, y, psi, phi = (v[tail] for v in _fly(start, actions, dt))
+    x, y, psi, phi = (v[tail] for v in _fly(start, actions))
     values = sample_polar(grid, x, y, psi, bins, n_angle_bins)
     peer_rho = np.array([np.hypot(x - p.x, y - p.y) for p in peers]).reshape(len(peers), len(x))
     out = np.zeros(actions.shape)
@@ -128,7 +128,7 @@ def optimize_trajectory(grid: FireGrid, start: AircraftState,
     deterministic for a given rng state.
     """
     T = cfg.horizon_steps
-    args = (peers, cfg.weights, cfg.bins(), cfg.n_angle_bins, cfg.dt)
+    args = (peers, cfg.weights, cfg.bins(), cfg.n_angle_bins)
     plans = np.array([rng.integers(2, size=T) for _ in range(cfg.restarts)])
     rewards = _tail_rewards(grid, start, plans, np.zeros(len(plans)), *args)
     scores = rewards.sum(axis=1)

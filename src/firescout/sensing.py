@@ -33,14 +33,6 @@ class RangeBins:
     cutpoints: np.ndarray  # (n_bins + 1,) float64, strictly increasing
 
     @property
-    def n_bins(self) -> int:
-        return len(self.cutpoints) - 1
-
-    @property
-    def widths(self) -> np.ndarray:
-        return np.diff(self.cutpoints)
-
-    @property
     def centers(self) -> np.ndarray:
         return 0.5 * (self.cutpoints[:-1] + self.cutpoints[1:])
 
@@ -49,9 +41,8 @@ class RangeBins:
         return float(self.cutpoints[-1])
 
 
-def build_range_bins(n_bins: int = 40, max_range: float = 500.0,
-                     ratio: float = 10.0) -> RangeBins:
-    """Bins whose widths ramp linearly from w to ratio*w, tiling [0, max_range].
+def build_range_bins(n_bins: int, max_range: float) -> RangeBins:
+    """Bins whose widths ramp linearly from w to 10*w, tiling [0, max_range].
 
     The per-bin weights are normalized so the final cutpoint lands exactly
     on max_range.
@@ -59,7 +50,7 @@ def build_range_bins(n_bins: int = 40, max_range: float = 500.0,
     if n_bins < 2:
         raise ValueError("need at least 2 range bins")
     idx = np.arange(n_bins, dtype=np.float64)
-    weights = 1.0 + (ratio - 1.0) * idx / (n_bins - 1)
+    weights = 1.0 + 9.0 * idx / (n_bins - 1)
     cumulative = np.cumsum(weights)
     cut = np.empty(n_bins + 1)
     cut[0] = 0.0
@@ -81,7 +72,7 @@ class PolarObservation:
 
 
 def sample_polar(grid: FireGrid, xs, ys, psis, bins: RangeBins,
-                 n_angle_bins: int = 30) -> np.ndarray:
+                 n_angle_bins: int) -> np.ndarray:
     """Burning flags at every (range bin, sector) center point of n poses,
     shape (n, n_range, n_angle); points off the grid read False.
     """
@@ -101,7 +92,7 @@ def sample_polar(grid: FireGrid, xs, ys, psis, bins: RangeBins,
 
 
 def render_observation(grid: FireGrid, state: AircraftState, bins: RangeBins,
-                       n_angle_bins: int = 30) -> PolarObservation:
+                       n_angle_bins: int) -> PolarObservation:
     """Sample the true fire at every (range bin, sector) center point."""
     values = sample_polar(grid, [state.x], [state.y], [state.psi], bins, n_angle_bins)
     return PolarObservation(values=values[0], bins=bins)

@@ -46,6 +46,7 @@ from firescout.sensing import (
     render_observation,
     update_belief,
 )
+from test_nn import forward_one, vector_views
 from test_receding_horizon import rollout_score
 
 # Desk training run for requirement 09, pinned so the result is
@@ -158,8 +159,9 @@ def test_04_observation_matches_exhaustive_scan():
     bins = build_range_bins(40, 500.0)
     assert bins.cutpoints[0] == 0.0
     assert bins.cutpoints[-1] == 500.0
-    assert math.fsum(bins.widths) == 500.0
-    assert bins.widths[-1] / bins.widths[0] == pytest.approx(10.0, rel=1e-9)
+    widths = np.diff(bins.cutpoints)
+    assert math.fsum(widths) == 500.0
+    assert widths[-1] / widths[0] == pytest.approx(10.0, rel=1e-9)
 
     rng = np.random.default_rng(77)
     n_angle = 30
@@ -279,24 +281,26 @@ def test_06_network_gradient_check():
 # -- 7. optimizer convergence ------------------------------------------------
 
 def test_07_adamax_minimizes_quadratic():
-    theta = np.array([5.0])
-    opt = AdaMax([theta], alpha=0.03)
+    params = vector_views(np.array([5.0]))
+    theta = params[0]
+    opt = AdaMax(params, alpha=0.03)
     crossed = None
     for step in range(1, 1001):
-        opt.step([theta], [2.0 * theta])
+        opt.step(params, vector_views(2.0 * theta))
         if crossed is None and abs(theta[0]) < 1e-3:
             crossed = step
     assert crossed is not None and crossed <= 1000
 
     # the update rule matches an independent scalar transcription,
     # float for float
-    theta = np.array([5.0])
-    opt = AdaMax([theta], alpha=0.03)
+    params = vector_views(np.array([5.0]))
+    theta = params[0]
+    opt = AdaMax(params, alpha=0.03)
     t_ref, m, u = 5.0, 0.0, 0.0
     b1, b2 = 0.9, 0.999
     for step in range(1, 201):
         g = 2.0 * t_ref
-        opt.step([theta], [np.array([g])])
+        opt.step(params, vector_views(np.array([g])))
         m = m * b1 + (1.0 - b1) * g
         u = max(b2 * u, abs(g))
         scale = 0.03 / (1.0 - b1 ** step)
@@ -325,7 +329,7 @@ def _toy_components(alpha=0.002, period=50):
                 nxt = np.zeros((1, 1, 5), dtype=np.float32)
                 nxt[..., a] = 1.0
                 buffer.push(image[None], cont, [a], [1.0 if a == s else 0.0],
-                            image[None], nxt, False)
+                            image[None], nxt)
     cfg = TrainingConfig(total_iterations=1000, approach="belief", gamma=0.9,
                          batch_size=16, target_update_period=period,
                          prefill=0, replay_capacity=64)
@@ -345,7 +349,7 @@ def test_08_toy_mdp_loss_falls_and_target_holds_between_syncs():
     for s in (0, 1):
         cont = np.zeros(5, dtype=np.float32)
         cont[s] = 1.0
-        q = net.forward(image, cont)
+        q = forward_one(net, image, cont)
         assert int(np.argmax(q)) == s
 
     # target outputs are bit-frozen between syncs
@@ -436,7 +440,7 @@ def test_11_multi_aircraft_selection_equals_pairwise_greedy():
         image = rng.random((8, 8, 2), dtype=np.float32)
         cont = rng.standard_normal(5).astype(np.float32)
         multi = select_action_multi(net, image, [cont])
-        single = Action(int(np.argmax(net.forward(image, cont))))
+        single = Action(int(np.argmax(forward_one(net, image, cont))))
         assert multi == single
 
 

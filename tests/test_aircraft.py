@@ -149,12 +149,16 @@ class TestIntegrate:
             assert -math.pi < s.psi <= math.pi
 
     def test_speed_override_scales_radius(self):
-        # radius goes as v^2 / (g tan phi): half speed, quarter radius
-        s = AircraftState(0.0, 0.0, 0.0, PHI30)
-        period = 2 * math.pi * 10.0 / (9.81 * math.tan(PHI30))
-        out = integrate(s, period / 4, v=10.0)
-        assert out.x == pytest.approx(RADIUS30 / 4, rel=1e-9)
-        assert out.y == pytest.approx(RADIUS30 / 4, rel=1e-9)
+        # radius goes as SPEED^2 / (g tan phi): at 45 degrees of bank,
+        # tan 30 / tan 45 of the 30-degree radius
+        phi = math.radians(45.0)
+        s = AircraftState(0.0, 0.0, 0.0, phi)
+        period = 2 * math.pi * SPEED / (9.81 * math.tan(phi))
+        out = integrate(s, period / 4)
+        radius = RADIUS30 * math.tan(PHI30) / math.tan(phi)
+        assert radius == pytest.approx(SPEED ** 2 / 9.81, rel=1e-9)
+        assert out.x == pytest.approx(radius, rel=1e-9)
+        assert out.y == pytest.approx(radius, rel=1e-9)
 
 
 class TestRelativeGeometry:

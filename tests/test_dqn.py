@@ -40,6 +40,7 @@ from firescout.fire import CircularSeed
 from firescout.harness import (desk_scenario, paper_scenario, profile_net_config,
                                profile_training_config)
 from firescout.nn import AdaMax, NetworkConfig, QNetwork
+from test_nn import forward_one
 
 TINY_IMAGE = (1, 1, 1)
 
@@ -51,32 +52,24 @@ def select_action(net, state, eps, rng):
     if eps > 0.0 and rng.random() < eps:
         return Action(int(rng.integers(2)))
     image, cont = state
-    q = net.forward(image, cont)
+    q = forward_one(net, image, cont)
     return Action(int(np.argmax(q)))
 
 
-def bellman_target(reward, next_state, terminal, target_net, gamma):
-    """One transition's TD target, the oracle for Trainer.train_step's batch."""
-    if terminal:
-        return float(reward)
+def bellman_target(reward, next_state, target_net, gamma):
+    """One transition's TD target, the oracle for Trainer.train_step's batch.
+    Episodes end at a time limit, so every target bootstraps."""
     image, cont = next_state
-    q = target_net.forward(image, cont)
+    q = forward_one(target_net, image, cont)
     return float(reward + gamma * float(q.max()))
 
 
 class StubNet:
     """Fixed Q-table stand-in; complains when it should not be consulted."""
 
-    def __init__(self, q=None, q_rows=None):
-        self.q = q
+    def __init__(self, q_rows=None):
         self.q_rows = q_rows
         self.calls = 0
-
-    def forward(self, image, cont):
-        if self.q is None:
-            raise AssertionError("forward should not have been called")
-        self.calls += 1
-        return np.asarray(self.q, dtype=np.float64)
 
     def forward_batch(self, images, conts):
         if self.q_rows is None:
@@ -89,14 +82,14 @@ class StubNet:
         return self.forward_batch(images, pair_conts).reshape(n, p, -1).sum(axis=1)
 
 
-def push_tiny(buf, reward=0.0, action=0, terminal=False, cont=None):
+def push_tiny(buf, reward=0.0, action=0, cont=None):
     """One step of one aircraft with one peer: a single transition row."""
     img = np.zeros((1, *TINY_IMAGE), dtype=np.float32)
     c = np.zeros((1, 1, 5), dtype=np.float32) if cont is None else cont.reshape(1, 1, 5)
-    buf.push(img, c, [action], [reward], img, c, terminal)
+    buf.push(img, c, [action], [reward], img, c)
 
 
-def push_rows(buf, images, conts, actions, rewards, next_images, next_conts, terminal):
+def push_rows(buf, images, conts, actions, rewards, next_images, next_conts):
     """Oracle for ReplayBuffer.push: one pair row at a time, owner-major."""
     for i in range(len(images)):
         for k in range(conts.shape[1]):
@@ -107,7 +100,6 @@ def push_rows(buf, images, conts, actions, rewards, next_images, next_conts, ter
             buf.rewards[j] = rewards[i]
             buf.next_images[j] = next_images[i]
             buf.next_conts[j] = next_conts[i, k]
-            buf.terminals[j] = terminal
             buf.cursor = (j + 1) % buf.capacity
             buf.size = min(buf.size + 1, buf.capacity)
 
@@ -165,18 +157,18 @@ class TestSelectAction:
         return (np.zeros(TINY_IMAGE, dtype=np.float32), np.zeros(5, dtype=np.float32))
 
     def test_greedy_picks_argmax(self):
-        net = StubNet(q=[0.3, 0.9])
+        net = StubNet(q_rows=[[0.3, 0.9]])
         a = select_action(net, self.state(), 0.0, np.random.default_rng(0))
         assert a == Action.BANK_LEFT
 
     def test_tie_resolves_to_action_zero(self):
-        net = StubNet(q=[0.5, 0.5])
+        net = StubNet(q_rows=[[0.5, 0.5]])
         a = select_action(net, self.state(), 0.0, np.random.default_rng(0))
         assert a == Action.BANK_RIGHT
         assert int(a) == 0
 
     def test_greedy_consumes_no_randomness(self):
-        net = StubNet(q=[1.0, 0.0])
+        net = StubNet(q_rows=[[1.0, 0.0]])
         a_rng = np.random.default_rng(5)
         b_rng = np.random.default_rng(5)
         select_action(net, self.state(), 0.0, a_rng)
@@ -193,7 +185,8 @@ class TestSelectAction:
 
     def test_invalid_eps_rejected(self):
         with pytest.raises(ValueError):
-            select_action(StubNet(q=[0, 1]), self.state(), 1.5, np.random.default_rng(0))
+            select_action(StubNet(q_rows=[[0, 1]]), self.state(), 1.5,
+                          np.random.default_rng(0))
 
 
 class TestSelectActionMulti:
@@ -297,8 +290,7 @@ class TestForwardTeam:
     def test_collector_matches_oracle_actions_and_draws(self, profile, approach, n_aircraft):
         sim_cfg, net = team_setup(profile, approach, n_aircraft)
         buffer = ReplayBuffer(1000, net.config.image_shape)
-        ours = _Collector(SurveillanceSim(sim_cfg), net, buffer, approach,
-                          bootstrap_on_truncation=True)
+        ours = _Collector(SurveillanceSim(sim_cfg), net, buffer, approach)
         oracle = OracleCollector(SurveillanceSim(sim_cfg), net, approach)
         rng_ours, rng_oracle = np.random.default_rng(33), np.random.default_rng(33)
         for _ in range(40):
@@ -314,18 +306,14 @@ class TestForwardTeam:
 
 class TestBellmanTarget:
     def test_frozen_value(self):
-        net = StubNet(q=[2.0, 1.0])
+        net = StubNet(q_rows=[[2.0, 1.0]])
         state = (np.zeros(TINY_IMAGE), np.zeros(5))
-        assert bellman_target(1.0, state, False, net, 0.99) == 2.98
-
-    def test_terminal_skips_bootstrap(self):
-        net = StubNet()  # raises if queried
-        assert bellman_target(-0.5, (None, None), True, net, 0.99) == -0.5
+        assert bellman_target(1.0, state, net, 0.99) == 2.98
 
     def test_zero_gamma_is_reward_plus_nothing(self):
-        net = StubNet(q=[100.0, 50.0])
+        net = StubNet(q_rows=[[100.0, 50.0]])
         state = (np.zeros(TINY_IMAGE), np.zeros(5))
-        assert bellman_target(0.25, state, False, net, 0.0) == 0.25
+        assert bellman_target(0.25, state, net, 0.0) == 0.25
 
 
 class TestReplayBuffer:
@@ -339,10 +327,9 @@ class TestReplayBuffer:
     def test_push_stores_all_fields(self):
         buf = ReplayBuffer(4, TINY_IMAGE)
         cont = np.arange(5, dtype=np.float32)
-        push_tiny(buf, reward=-2.5, action=1, terminal=True, cont=cont)
+        push_tiny(buf, reward=-2.5, action=1, cont=cont)
         assert buf.actions[0] == 1
         assert buf.rewards[0] == -2.5
-        assert buf.terminals[0]
         assert np.array_equal(buf.conts[0], cont)
 
     def test_underfilled_sampling_rejected(self):
@@ -385,12 +372,11 @@ class TestReplayBuffer:
                     [Action(int(a)) for a in rng.integers(2, size=n)],
                     tuple(rng.standard_normal(n).tolist()),
                     rng.standard_normal((n, *shape), dtype=np.float32),
-                    rng.standard_normal((n, p, 5), dtype=np.float32),
-                    bool(rng.integers(2)))
+                    rng.standard_normal((n, p, 5), dtype=np.float32))
             ours.push(*step)
             push_rows(oracle, *step)
         for name in ("images", "conts", "actions", "rewards", "next_images",
-                     "next_conts", "terminals"):
+                     "next_conts"):
             assert getattr(ours, name).tobytes() == getattr(oracle, name).tobytes(), name
         assert (ours.cursor, ours.size) == (oracle.cursor, oracle.size)
 
@@ -438,7 +424,7 @@ def toy_trainer(seed=0, gamma=0.9, period=50, iterations_cfg=1000):
     for _ in range(16):
         buf.push(imgs, np.array([[cont(s)] for s, _ in pairs]), [a for _, a in pairs],
                  [1.0 if a == s else 0.0 for s, a in pairs], imgs,
-                 np.array([[cont(a)] for _, a in pairs]), False)
+                 np.array([[cont(a)] for _, a in pairs]))
     tcfg = TrainingConfig(total_iterations=iterations_cfg, gamma=gamma,
                           batch_size=16, target_update_period=period,
                           prefill=0, replay_capacity=64)
@@ -449,16 +435,17 @@ def toy_trainer(seed=0, gamma=0.9, period=50, iterations_cfg=1000):
 class TestTrainer:
     def test_loss_zero_when_targets_already_met(self):
         trainer, img, cont = toy_trainer()
-        # terminal transitions whose reward is the network's own Q value:
-        # the error, gradients and parameter update are all exactly zero
+        # transitions whose reward is the network's own Q value, under a target
+        # whose Q-rows are zero: the error, gradients and update are exactly zero
         buf = ReplayBuffer(16, TINY_IMAGE)
         for _ in range(4):
             for s in (0, 1):
-                q = trainer.online.forward(img, cont(s))
+                q = forward_one(trainer.online, img, cont(s))
                 for a in (0, 1):
                     c = cont(s).reshape(1, 1, 5)
-                    buf.push(img[None], c, [a], [float(q[a])], img[None], c, True)
+                    buf.push(img[None], c, [a], [float(q[a])], img[None], c)
         trainer.buffer = buf
+        trainer.target = StubNet(q_rows=np.zeros((trainer.cfg.batch_size, 2)))
         before = [p.copy() for p in trainer.online.parameters()]
         loss = trainer.train_step(np.random.default_rng(0))
         assert loss == 0.0
@@ -468,14 +455,14 @@ class TestTrainer:
     def test_target_network_frozen_between_syncs(self):
         trainer, img, cont = toy_trainer(period=10**9)
         state = (img, cont(0))
-        before = bellman_target(0.0, state, False, trainer.target, 0.9)
+        before = bellman_target(0.0, state, trainer.target, 0.9)
         rng = np.random.default_rng(1)
         for _ in range(5):
             trainer.train_step(rng)
-        after = bellman_target(0.0, state, False, trainer.target, 0.9)
+        after = bellman_target(0.0, state, trainer.target, 0.9)
         assert before == after
         # the online network did move
-        online_now = bellman_target(0.0, state, False, trainer.online, 0.9)
+        online_now = bellman_target(0.0, state, trainer.online, 0.9)
         assert online_now != before
 
     def test_target_syncs_on_schedule(self):
@@ -502,10 +489,10 @@ class TestTrainer:
         rng = np.random.default_rng(1)
         for _ in range(1000):
             trainer.train_step(rng)
-        assert int(np.argmax(trainer.online.forward(img, cont(0)))) == 0
-        assert int(np.argmax(trainer.online.forward(img, cont(1)))) == 1
+        assert int(np.argmax(forward_one(trainer.online, img, cont(0)))) == 0
+        assert int(np.argmax(forward_one(trainer.online, img, cont(1)))) == 1
         # bootstrapped values approach Q* = [1/(1-g), g/(1-g)] = [10, 9]
-        q0 = trainer.online.forward(img, cont(0))
+        q0 = forward_one(trainer.online, img, cont(0))
         assert q0[0] > q0[1] > 0.5 * 9.0
 
 

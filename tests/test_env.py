@@ -1,10 +1,11 @@
-"""Tests for the simulator's per-state cache and its team rewards.
+"""Tests for the simulator's per-state cache, its team rewards and its clock.
 
 The team's polar observations or ego belief images are rendered by one
 batched call per (fire grid or belief map, team state) pair, and each
 ordered pair's relative geometry is computed once per team state; the
 collectors, the evaluation loop and the rewards all read that one result.
 The array rewards equal the scalar reward terms summed per aircraft.
+During an episode the fire steps once every step_seconds / DT decisions.
 """
 
 import math
@@ -20,7 +21,8 @@ from firescout.aircraft import Action, AircraftState, relative_geometry
 from firescout.dqn import ReplayBuffer, _Collector
 from firescout.env import BELIEF, OBSERVATION, SurveillanceSim
 from firescout.fire import FireGrid
-from firescout.harness import desk_scenario, profile_net_config, run_episode
+from firescout.harness import desk_scenario, profile_net_config, run_episode, \
+    scenario_from_dict
 from firescout.nn import QNetwork
 from firescout.rewards import bank_penalty, belief_reward, cold_cells_penalty, \
     fire_distance_penalty, proximity_penalty
@@ -51,8 +53,7 @@ def test_training_step_renders_each_aircraft_once(monkeypatch, approach, rendere
     sim = desk_sim()
     net = QNetwork(profile_net_config("desk", approach, sim.config),
                    rng=np.random.default_rng(0))
-    collector = _Collector(sim, net, ReplayBuffer(1000, net.config.image_shape), approach,
-                           bootstrap_on_truncation=True)
+    collector = _Collector(sim, net, ReplayBuffer(1000, net.config.image_shape), approach)
     calls = counting(monkeypatch, renderer)
     rng = np.random.default_rng(1)
     for _ in range(STEPS):
@@ -78,8 +79,7 @@ def test_each_pair_geometry_computed_once_per_team_state(monkeypatch):
     sim = desk_sim(n_aircraft=3)
     net = QNetwork(profile_net_config("desk", BELIEF, sim.config),
                    rng=np.random.default_rng(0))
-    collector = _Collector(sim, net, ReplayBuffer(1000, net.config.image_shape), BELIEF,
-                           bootstrap_on_truncation=True)
+    collector = _Collector(sim, net, ReplayBuffer(1000, net.config.image_shape), BELIEF)
     calls = counting(monkeypatch, "relative_geometry")
     rng = np.random.default_rng(2)
     for _ in range(STEPS):
@@ -122,6 +122,25 @@ def test_cached_images_equal_fresh_renders_after_step_and_reset():
         assert_images_fresh(sim)
     sim.reset(rng)
     assert_images_fresh(sim)
+
+
+@pytest.mark.parametrize("step_seconds, every", [(5.0, 50), (0.1, 1), (2.5, 25)])
+def test_in_episode_fire_cadence_follows_step_seconds(monkeypatch, step_seconds, every):
+    """During a 10 s episode the fire steps once every step_seconds / DT
+    decision steps: 2, 100 and 4 times."""
+    sc = scenario_from_dict({"propagation": {"step_seconds": step_seconds},
+                             "horizon_seconds": 10.0, "grid": {"width_cells": 20,
+                                                               "height_cells": 20}})
+    sim = SurveillanceSim(sc.sim)
+    rng = np.random.default_rng(8)
+    sim.reset(rng)
+    calls = counting(monkeypatch, "step_fire")    # in-episode steps only
+    fired = []
+    for _ in env.play(sim, env.random_policy, rng):
+        if len(calls) > len(fired):
+            fired.append(sim.step_index)
+    assert sim.step_index == 100
+    assert fired == list(range(every, 101, every))
 
 
 def test_cache_follows_a_replaced_aircraft_state():

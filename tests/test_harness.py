@@ -511,6 +511,7 @@ class TestBadInputExitsTwo:
         ({"grid": {"fuel_min_steps": 20.0, "fuel_max_steps": 10.0}}, "grid.fuel_max_steps"),
         ({"snapshot_every_steps": 0}, "snapshot_every_steps"),
         ({"wind": {"strength": -1}}, "wind.strength"),
+        ({"horizon_seconds": 0.04}, "horizon_seconds"),    # under one decision step
     ])
     def test_bad_field(self, tmp_path, capsys, override, field):
         config = tiny_dict()
@@ -622,11 +623,9 @@ class TestBadInputExitsTwo:
 
 # -- the field table --------------------------------------------------------
 
-# Dataclass fields that scenario files do not expose: the decision and
-# fire rates, the planner's step (it flies at the decision rate), and the
-# planner's copies of the sensor fields and reward weights.
-NOT_IN_SCENARIOS = {(SimConfig, "decision_hz"), (SimConfig, "fire_every_steps"),
-                    (RHConfig, "dt"), *((RHConfig, name) for name in _RH_COPIES)}
+# Dataclass fields that scenario files do not expose: the planner's copies
+# of the sensor fields and reward weights.
+NOT_IN_SCENARIOS = {(RHConfig, name) for name in _RH_COPIES}
 # Parsed outside the table, each by its own small case.
 SPECIAL_CASES = {(SimConfig, "seed_pattern"), (SimConfig, "spawn_poses")}
 DEFAULTS = scenario_from_dict({"seed_pattern": {"kind": "none"}})

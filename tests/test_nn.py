@@ -48,6 +48,19 @@ SMALL = NetworkConfig(
 )
 
 
+def forward_one(net, image, cont):
+    """Action values of one (image, continuous) sample, shape (n_actions,):
+    the one row of a forward_batch call."""
+    return net.forward_batch(np.asarray(image)[None, ...], np.asarray(cont)[None, :])[0]
+
+
+def vector_views(*arrays):
+    """Copies of arrays as consecutive views of one new vector, the form of
+    a network's parameters() and gradients that AdaMax steps."""
+    vector = np.concatenate([np.ravel(a) for a in arrays])
+    return nn._VectorViews(vector, nn._views(vector, [np.shape(a) for a in arrays]))
+
+
 def numeric_gradient(f, arr, h=1e-6):
     """Central finite differences of scalar f with respect to arr, in place."""
     grad = np.zeros_like(arr, dtype=np.float64)
@@ -424,7 +437,7 @@ class TestQNetworkStructure:
         conts = np.zeros((5, 5), dtype=np.float32)
         q = net.forward_batch(images, conts)
         assert q.shape == (5, 2)
-        single = net.forward(images[0], conts[0])
+        single = forward_one(net, images[0], conts[0])
         assert single.shape == (2,)
 
     def test_shape_validation(self):
@@ -893,53 +906,54 @@ class TestSmallShapeKernels:
 class TestAdaMax:
     def test_first_step_exact(self):
         # beta1=0.5, alpha=0.25: scale = 0.5, m = 5, u = 10, delta = 0.25
-        p = [np.array([5.0])]
+        p = vector_views(np.array([5.0]))
         opt = AdaMax(p, alpha=0.25, beta1=0.5)
-        opt.step(p, [np.array([10.0])])
+        opt.step(p, vector_views(np.array([10.0])))
         assert p[0][0] == 4.75
 
     def test_quadratic_oracle_at_published_text_rate(self):
         # the optimizer run as its own oracle: alpha=0.01 lands at
         # 0.14143760623649654 after 1000 steps and crosses 1e-3 at 1610
-        p = [np.array([5.0])]
+        p = vector_views(np.array([5.0]))
         opt = AdaMax(p, alpha=0.01)
         for _ in range(1000):
-            opt.step(p, [2.0 * p[0]])
+            opt.step(p, vector_views(2.0 * p[0]))
         assert abs(p[0][0]) == pytest.approx(0.14143760623649654, rel=1e-12)
         for _ in range(610):
-            opt.step(p, [2.0 * p[0]])
+            opt.step(p, vector_views(2.0 * p[0]))
         assert abs(p[0][0]) < 1e-3
 
     def test_quadratic_converges_within_1000_steps(self):
-        p = [np.array([5.0])]
+        p = vector_views(np.array([5.0]))
         opt = AdaMax(p, alpha=0.03)
         for _ in range(1000):
-            opt.step(p, [2.0 * p[0]])
+            opt.step(p, vector_views(2.0 * p[0]))
         assert abs(p[0][0]) < 1e-3
 
     def test_zero_gradient_is_a_fixed_point(self):
-        p = [np.full(3, 2.0)]
+        p = vector_views(np.full(3, 2.0))
         opt = AdaMax(p)
-        opt.step(p, [np.zeros(3)])
+        opt.step(p, vector_views(np.zeros(3)))
         assert np.array_equal(p[0], np.full(3, 2.0))
 
     def test_multi_array_state(self):
-        p = [np.array([1.0, -1.0]), np.array([[2.0]])]
+        p = vector_views(np.array([1.0, -1.0]), np.array([[2.0]]))
         opt = AdaMax(p, alpha=0.1)
-        opt.step(p, [np.array([1.0, -1.0]), np.array([[1.0]])])
+        opt.step(p, vector_views(np.array([1.0, -1.0]), np.array([[1.0]])))
         assert p[0][0] < 1.0 and p[0][1] > -1.0 and p[1][0, 0] < 2.0
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_five_steps_follow_the_docstring_formula(self, dtype):
         rng = np.random.default_rng(31)
-        params = [rng.normal(size=(3, 4)).astype(dtype), rng.normal(size=5).astype(dtype)]
+        params = vector_views(rng.normal(size=(3, 4)).astype(dtype),
+                              rng.normal(size=5).astype(dtype))
         want = [p.copy() for p in params]
         m = [np.zeros_like(p) for p in params]
         u = [np.zeros_like(p) for p in params]
         alpha, b1, b2 = 0.01, 0.9, 0.999
         opt = AdaMax(params, alpha=alpha, beta1=b1, beta2=b2)
         for t in range(1, 6):
-            grads = [rng.normal(size=p.shape).astype(dtype) for p in params]
+            grads = vector_views(*(rng.normal(size=p.shape).astype(dtype) for p in params))
             grads[1][0] = 0.0  # a coordinate whose u stays 0, floored at 1e-8
             opt.step(params, grads)
             for i, g in enumerate(grads):
@@ -950,11 +964,12 @@ class TestAdaMax:
                 assert_same_bits(got, expected)
 
     def test_mismatched_state_rejected(self):
-        opt = AdaMax([np.zeros(3)])
+        opt = AdaMax(vector_views(np.zeros(3)))
         with pytest.raises(ValueError):
-            opt.step([np.zeros(3), np.zeros(2)], [np.zeros(3), np.zeros(2)])
+            opt.step(vector_views(np.zeros(3), np.zeros(2)),
+                     vector_views(np.zeros(3), np.zeros(2)))
         with pytest.raises(ValueError):
-            opt.step([np.zeros(4)], [np.zeros(4)])
+            opt.step(vector_views(np.zeros(4)), vector_views(np.zeros(4)))
 
 
 class TestSerialization:

@@ -32,11 +32,11 @@ from firescout.sensing import build_range_bins, render_observation, sample_polar
 W = RewardWeights()
 
 
-def rollout_score(grid, start, actions, peers, w, bins, n_angle_bins=30, dt=0.1):
+def rollout_score(grid, start, actions, peers, w, bins, n_angle_bins=30):
     """Total dense reward the planner gives flying the sequence over the
     unchanged fire map, peers staying put. An empty sequence scores 0."""
     return float(_tail_rewards(grid, start, np.array([actions], dtype=np.intp), np.zeros(1),
-                               peers, w, bins, n_angle_bins, dt).sum())
+                               peers, w, bins, n_angle_bins).sum())
 
 
 def scene(seed=0, size=30, burn_frac=0.08):
@@ -142,7 +142,7 @@ class TestConfig:
         cfg = RHConfig(horizon_steps=10, execute_steps=5,
                        n_range_bins=6, max_range_m=120.0)
         b = cfg.bins()
-        assert b.n_bins == 6
+        assert len(b.centers) == 6
         assert b.max_range == 120.0
 
 
@@ -285,7 +285,7 @@ def oracle_rewards(grid, states, peers, w, bins, n_angle_bins):
     ix = np.floor(px / grid.cell_size).astype(np.int64)
     iy = np.floor(py / grid.cell_size).astype(np.int64)
     inside = (ix >= 0) & (ix < grid.width) & (iy >= 0) & (iy < grid.height)
-    values = np.zeros((n, bins.n_bins, n_angle_bins), dtype=bool)
+    values = np.zeros((n, len(bins.centers), n_angle_bins), dtype=bool)
     values[inside] = grid.burning[iy[inside], ix[inside]]
     burning_rows = values.any(axis=2)
     nearest = np.where(burning_rows, radii[None, :], np.inf).min(axis=1)
@@ -401,7 +401,7 @@ class TestScalarOracle:
         want = float(oracle_rewards(grid, oracle_trajectory(start, actions, cfg.dt),
                                     peers, cfg.weights, bins, cfg.n_angle_bins).sum())
         assert rollout_score(grid, start, actions, peers, cfg.weights, bins,
-                             cfg.n_angle_bins, cfg.dt) == want
+                             cfg.n_angle_bins) == want
 
     def test_draws_restart_starts_in_order(self):
         """Only the restarts' initial sequences come from rng."""

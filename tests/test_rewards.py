@@ -34,7 +34,7 @@ def observation_reward(obs, bins, geom, w):
 
 
 def obs_with(bins, n_angle=30, rows=()):
-    values = np.zeros((bins.n_bins, n_angle), dtype=bool)
+    values = np.zeros((len(bins.centers), n_angle), dtype=bool)
     for r in rows:
         values[r, 0] = True
     return PolarObservation(values=values, bins=bins)
