@@ -158,13 +158,14 @@ class Trainer:
         self.iterations = 0
 
     def train_step(self, rng: np.random.Generator) -> float:
-        """One uniform batch, one AdaMax step; returns the batch loss."""
+        """One uniform batch, one AdaMax step; returns the batch loss. The
+        target network's pass runs beside the online forward pass."""
         cfg = self.cfg
         images, conts, actions, rewards, next_images, next_conts = \
             self.buffer.sample(cfg.batch_size, rng)
-        next_q = self.target.forward_batch(next_images, next_conts)
-        targets = rewards + cfg.gamma * next_q.max(axis=1)
-        loss, grads = self.online.loss_and_gradients(images, conts, actions, targets)
+        with self.target.forward_beside(next_images, next_conts) as next_q:
+            loss, grads = self.online.loss_and_gradients(
+                images, conts, actions, lambda: rewards + cfg.gamma * next_q.result().max(axis=1))
         self.optimizer.step(self.online.parameters(), grads)
         self.iterations += 1
         if self.iterations % cfg.target_update_period == 0:

@@ -77,7 +77,8 @@ _FIELDS = {
     "propagation.step_seconds": ("sim.propagation.step_duration", "(0, inf)"),
     "aircraft_count": ("sim.n_aircraft", "[1, inf)"),
     "pregrow_seconds": ("sim.pregrow_seconds", "[0, inf)"),
-    "horizon_seconds": ("sim.horizon_seconds", f"[{DT}, inf)"),    # one decision step
+    # one decision step up to 2**62 of them, so that SimConfig.horizon_steps fits an int64
+    "horizon_seconds": ("sim.horizon_seconds", f"[{DT}, {DT * 2 ** 62!r}]"),
     "observation.n_range_bins": ("sim.n_range_bins", "[2, inf)"),
     "observation.n_angle_bins": ("sim.n_angle_bins", "[1, inf)"),
     "observation.max_range_m": ("sim.max_range_m", "(0, inf)"),

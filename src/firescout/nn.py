@@ -22,6 +22,30 @@ its vector, and an AdaMax step is one elementwise pass over the vectors.
 Everything is plain numpy. Plain ``forward`` calls are pure and safe to
 run concurrently; training uses an explicit cache-passing path so no
 layer mutates shared state.
+
+The conv stages of a pure pass run a few whole images at a time (and so do
+conv-1 and pool-1 of the cached training pass), so the conv-1 output never
+exists whole. Each image's values are those of the whole batch: a GEMM's
+rows do not depend on one another, and a chunk holds enough images that
+each conv layer's product takes the GEMM kernel the whole batch's takes.
+
+Two pieces of a gradient step run on a second thread, beside the calling
+thread's work, when they take over _THREAD_MIN_MACS multiply-adds (the
+paper-size networks at batch 64; a desk step stays on one thread):
+
+- the target network's pure pass, beside the online network's forward
+  pass (``QNetwork.forward_beside``); ``loss_and_gradients`` takes its
+  targets as a function it calls once its forward pass is done;
+- a conv layer's weight gradient, beside its input gradient
+  (``Conv2D.backward``).
+
+Each piece reads only what nothing writes until it is joined, and
+computes with the same calls in the same order as on one thread, so no
+bit depends on the thread it ran on. Its buffers are made on the calling
+thread, so their memory comes from that thread's heap, and it is joined
+before the call that started it returns, whatever either thread raises.
+The second thread calls no public layer method: benchmark/tracer.py
+wraps those with one span stack per process.
 """
 
 from __future__ import annotations
@@ -30,6 +54,7 @@ import itertools
 import json
 import math
 import struct
+import threading
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -116,6 +141,46 @@ _COLUMNS_MAX_BYTES = 8 << 20
 _SMALL_GEMM_MNK = 10 ** 6
 _SMALL_GEMM_ENTRIES = 1200
 
+# A second thread pays for work of over _THREAD_MIN_MACS multiply-adds run
+# beside the calling thread's (a target pass's conv stages, or a conv layer's
+# weight gradient); below it, starting and joining the thread and sharing the
+# interpreter lock cost more than the overlap saves.
+_THREAD_MIN_MACS = 3 * 10 ** 7
+
+
+class _Beside:
+    """fn(*args), started at once: on a second thread if thread is true, else
+    here. result() waits for it and returns its value or raises its
+    exception; leaving the with block waits for it too, so the thread ends
+    before the block does even when the block raises."""
+
+    def __init__(self, thread: bool, fn, *args):
+        self._error = self._thread = None
+        if thread:
+            self._thread = threading.Thread(target=self._run, args=(fn, *args))
+            self._thread.start()
+        else:
+            self._value = fn(*args)
+
+    def _run(self, fn, *args):
+        try:
+            self._value = fn(*args)
+        except BaseException as e:  # raised again on the calling thread, by result()
+            self._error = e
+
+    def result(self):
+        self.__exit__()
+        if self._error is not None:
+            raise self._error
+        return self._value
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self._thread is not None:
+            self._thread.join()
+
 
 class Conv2D:
     """3x3-style convolution, stride 1, zero padding preserving spatial size.
@@ -163,11 +228,16 @@ class Conv2D:
         return np.ascontiguousarray(windows).reshape(n * h * w, k * k * c)
 
     def forward(self, x):
-        return self.forward_cached(x)[0]
+        return self._conv(x)[0]
 
     def forward_cached(self, x):
         """(y, cache); the cache holds the im2col matrix, or x itself
         when _splits() holds."""
+        y, cache = self._conv(x)
+        return y, (cache, x.shape)
+
+    def _conv(self, x):
+        """(y, the im2col matrix or, when _splits() holds, x)."""
         n, h, w, c = x.shape
         w2 = self.weight.reshape(-1, self.weight.shape[-1])
         xp = self._padded(x)
@@ -184,33 +254,54 @@ class Conv2D:
         # the bias repeated over an image's pixels: one add loop per image, not per pixel
         per_image = y.reshape(n, h * w * w2.shape[1])
         per_image += self.bias[None, :].repeat(h * w, axis=0).reshape(-1)
-        return y.reshape(n, h, w, -1), (cache, x.shape)
+        return y.reshape(n, h, w, -1), cache
+
+    @staticmethod
+    def _columns_weight_grad(cols, dflat, dw):
+        np.matmul(cols.T, dflat, out=dw.reshape(-1, dw.shape[-1]))
+
+    def _taps_weight_grad(self, xp, shifted, dflat, dw):
+        """dw one tap at a time, each tap of the padded input xp copied into shifted."""
+        k, c = self.kernel, shifted.shape[-1]
+        h, w = shifted.shape[1:3]
+        for t in range(k * k):
+            di, dj = divmod(t, k)
+            np.copyto(shifted, xp[:, di:di + h, dj:dj + w, :])
+            np.matmul(shifted.reshape(-1, c).T, dflat, out=dw[di, dj])
 
     def backward(self, cache, dout, input_grad=True):
-        """(dx, [dw, db]); dx is None when input_grad is false."""
-        a, (n, h, w, c) = cache
+        """(dx, [dw, db]); dx is None when input_grad is false. dw is made on
+        a second thread while dx is made here when both are wanted and dw
+        takes over _THREAD_MIN_MACS multiply-adds."""
+        a, x_shape = cache
         del cache
+        dflat = dout.reshape(-1, dout.shape[-1])
+        dw = np.empty(self.weight.shape, np.result_type(a, dflat))
+        if a.ndim == 2:
+            weight_grad, args = self._columns_weight_grad, (a,)
+        else:  # a is the layer input: dw one tap at a time
+            weight_grad, args = self._taps_weight_grad, (self._padded(a), np.empty_like(a))
+        del a
+        thread = input_grad and dflat.shape[0] * dw.size > _THREAD_MIN_MACS
+        with _Beside(thread, weight_grad, *args, dflat, dw) as dw_made:
+            # now only weight_grad holds dw's inputs (the im2col matrix, or the
+            # padded input and tap buffer), so they are freed once dw is made
+            del args
+            db = _column_sums(dflat)
+            dx = self._input_grad(dflat, x_shape, dout.dtype) if input_grad else None
+            dw_made.result()
+        return dx, [dw, db]
+
+    def _input_grad(self, dflat, shape, dtype):
+        n, h, w, c = shape
         k = self.kernel
         pad = (k - 1) // 2
-        dflat = dout.reshape(-1, dout.shape[-1])
-        if a.ndim == 2:
-            dw = (a.T @ dflat).reshape(self.weight.shape)
-        else:  # a is the layer input: dw one tap at a time
-            xp = self._padded(a)
-            dw = np.empty(self.weight.shape, np.result_type(a, dflat))
-            for t in range(k * k):
-                shifted = np.ascontiguousarray(xp[:, t // k:t // k + h, t % k:t % k + w, :])
-                dw[t // k, t % k] = shifted.reshape(-1, c).T @ dflat
-        del a  # frees the im2col matrix (or input), whose memory dcols can reuse
-        db = _column_sums(dflat)
-        if not input_grad:
-            return None, [dw, db]
         # col2im into a flat buffer, the padded input without its column padding:
         # tap (di, dj) adds into one contiguous run, in the oracle's tap order.
         # What would fall in the padding lands on other pixels here, so it is
         # zeroed first; +0.0 changes no sum (each starts at +0.0, so none is -0.0).
         size = n * h * w * c
-        dx = np.zeros(size + 2 * (pad * w + pad) * c, dout.dtype)
+        dx = np.zeros(size + 2 * (pad * w + pad) * c, dtype)
         per_tap = (c > 1 and np.result_type(dflat, self.weight) == np.float32
                    and dflat.shape[0] * c * dflat.itemsize > _TAP_MIN_BYTES)
         if not per_tap:
@@ -223,7 +314,7 @@ class Conv2D:
             tap[:, :, _outside(dj, pad, w)] = 0
             run = dx[(di * w + dj) * c:][:size].reshape(n, h, w, c)
             run += tap
-        return dx[(pad * w + pad) * c:][:size].reshape(n, h, w, c), [dw, db]
+        return dx[(pad * w + pad) * c:][:size].reshape(n, h, w, c)
 
 
 class MaxPool2:
@@ -299,6 +390,33 @@ def _forward(layers, x, caches=None):
     return x
 
 
+def _forward_chunks(layers, x, bounds, caches=None):
+    """_forward(layers, x, caches) one chunk of images, x[i:j] for (i, j) in
+    bounds, at a time, so that only the last layer's output is ever whole.
+    Each layer's cache must be an image-major array or an (array, input
+    shape) pair; the chunks' caches are joined into the whole batch's."""
+    if len(bounds) == 1 or not layers:
+        return _forward(layers, x, caches)
+    out, parts = None, []
+    for i, j in bounds:
+        part = None if caches is None else []
+        y = _forward(layers, x[i:j], part)
+        if out is None:
+            out = np.empty((len(x), *y.shape[1:]), y.dtype)
+        out[i:j] = y
+        parts.append(part)
+    if caches is not None:
+        caches += [_joined(layer, len(x)) for layer in zip(*parts)]
+    return out
+
+
+def _joined(caches, n: int):
+    """One layer's cache of n images from its caches of consecutive chunks."""
+    if isinstance(caches[0], tuple):
+        return _joined([c[0] for c in caches], n), (n, *caches[0][1][1:])
+    return np.concatenate(caches)
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     """Architecture hyperparameters.
@@ -329,10 +447,21 @@ class QNetwork:
 
         h, w, channels = config.image_shape
         self.image_layers = []
+        # _conv_macs: the conv stages' multiply-adds per image. _chunk: the
+        # fewest images whose product in every conv layer has over
+        # _SMALL_GEMM_MNK multiply-adds, _SMALL_GEMM_ENTRIES entries and more
+        # than one row, so that it takes the whole batch's GEMM kernel.
+        self._conv_macs, self._chunk = 0, 1
         for _ in range(config.conv_stages):
             self.image_layers += [Conv2D(channels, config.conv_filters, rng, dtype,
                                          config.kernel_size), MaxPool2(), Relu()]
+            entries = h * w * config.conv_filters
+            macs = entries * config.kernel_size ** 2 * channels
+            self._conv_macs += macs
+            self._chunk = max(self._chunk, _SMALL_GEMM_MNK // max(macs, 1) + 1,
+                              _SMALL_GEMM_ENTRIES // max(entries, 1) + 1, 2 // max(h * w, 1))
             channels, h, w = config.conv_filters, h // 2, w // 2
+        self._stages = 3 * config.conv_stages
         if h < 1 or w < 1:
             raise ValueError("image too small for the configured number of pool stages")
         dense, self._image_out = _dense_stack(h * w * channels, config.image_dense, rng, dtype)
@@ -378,9 +507,31 @@ class QNetwork:
             raise ValueError(f"expected {self.config.n_continuous} continuous inputs, "
                              f"got {conts.shape[1]}")
 
+    def _big(self, n: int) -> bool:
+        """Whether a pass on n images takes over _THREAD_MIN_MACS multiply-adds
+        in its conv stages: it then runs them in chunks, and a target pass
+        runs on a second thread."""
+        return n * self._conv_macs > _THREAD_MIN_MACS
+
+    def _chunks(self, n: int) -> list[tuple[int, int]]:
+        """(start, end) of each chunk of a pass on n images: _chunk images each
+        and the remainder, if any, in the last chunk; one chunk unless _big(n)."""
+        if not self._big(n):
+            return [(0, n)]
+        starts = list(range(0, n - self._chunk + 1, self._chunk)) or [0]
+        return list(zip(starts, starts[1:] + [n]))
+
     def forward_batch(self, images: np.ndarray, conts: np.ndarray) -> np.ndarray:
         """Action values of each (image, continuous) row, shape (n, n_actions)."""
         return self._pair_rows(images, np.asarray(conts)[:, None, :])
+
+    def forward_beside(self, images: np.ndarray, conts: np.ndarray) -> _Beside:
+        """forward_batch(images, conts), started beside the caller's work: on a
+        second thread when its conv stages take over _THREAD_MIN_MACS
+        multiply-adds, else at once. Use it in a with block and read the rows
+        with result(). The pass calls no public method."""
+        return _Beside(self._big(len(images)), self._pair_rows, images,
+                       np.asarray(conts)[:, None, :])
 
     def forward_team(self, images: np.ndarray, pair_conts: np.ndarray) -> np.ndarray:
         """Summed pairwise action values of a team, shape (n, n_actions).
@@ -402,7 +553,9 @@ class QNetwork:
         self._check_shapes(images, conts)
         if len(images) != n:
             raise ValueError(f"{len(images)} images for {n} rows of pair inputs")
-        a, b = _forward(self.image_layers, images), _forward(self.continuous_layers, conts)
+        a = _forward_chunks(self.image_layers[:self._stages], images, self._chunks(len(images)))
+        a = _forward(self.image_layers[self._stages:], a)
+        b = _forward(self.continuous_layers, conts)
         return _forward(self.merge_layers, np.concatenate([np.repeat(a, p, axis=0), b], axis=1))
 
     # -- training -----------------------------------------------------------
@@ -411,22 +564,29 @@ class QNetwork:
         """Mean squared error of the taken actions' values against targets.
 
         Returns (loss, gradients): views of one vector, ordered like parameters().
-        Only the taken action's output contributes for each sample. Each
-        layer's forward cache is dropped once its backward pass has used
-        it, so the activations are freed as the pass goes.
+        targets is an array, or a function of no arguments that returns one;
+        it is called once the forward pass is done. Only the taken action's
+        output contributes for each sample. Each layer's forward cache is
+        dropped once its backward pass has used it, so the activations are
+        freed as the pass goes.
         """
         images = np.asarray(images, dtype=self.dtype)
         conts = np.asarray(conts, dtype=self.dtype)
         self._check_shapes(images, conts)
         actions = np.asarray(actions, dtype=np.int64)
-        targets = np.asarray(targets, dtype=self.dtype)
         if len(actions) == 0:
             raise ValueError("batch must be non-empty")
 
         caches = []
-        a = _forward(self.image_layers, images, caches)
+        # conv-1 and pool-1 a chunk at a time, unless conv-1 caches its input
+        # for the whole batch (a chunk would cache its im2col matrix)
+        head = 2 if self._stages and not self.image_layers[0]._splits(images.shape,
+                                                                      images.dtype) else 0
+        a = _forward_chunks(self.image_layers[:head], images, self._chunks(len(images)), caches)
+        a = _forward(self.image_layers[head:], a, caches)
         b = _forward(self.continuous_layers, conts, caches)
         q = _forward(self.merge_layers, np.concatenate([a, b], axis=1), caches)
+        targets = np.asarray(targets() if callable(targets) else targets, dtype=self.dtype)
         n = q.shape[0]
         rows = np.arange(n)
         err = q[rows, actions] - targets

@@ -39,6 +39,7 @@ from firescout.env import BELIEF, OBSERVATION, SimConfig, SurveillanceSim
 from firescout.fire import CircularSeed
 from firescout.harness import (desk_scenario, paper_scenario, profile_net_config,
                                profile_training_config)
+from firescout import nn
 from firescout.nn import AdaMax, NetworkConfig, QNetwork
 from test_nn import forward_one
 
@@ -80,6 +81,9 @@ class StubNet:
     def forward_team(self, images, pair_conts):
         n, p = np.shape(pair_conts)[:2]
         return self.forward_batch(images, pair_conts).reshape(n, p, -1).sum(axis=1)
+
+    def forward_beside(self, images, conts):
+        return nn._Beside(False, self.forward_batch, images, conts)
 
 
 def push_tiny(buf, reward=0.0, action=0, cont=None):

@@ -512,6 +512,7 @@ class TestBadInputExitsTwo:
         ({"snapshot_every_steps": 0}, "snapshot_every_steps"),
         ({"wind": {"strength": -1}}, "wind.strength"),
         ({"horizon_seconds": 0.04}, "horizon_seconds"),    # under one decision step
+        ({"horizon_seconds": 1e308}, "horizon_seconds"),    # horizon_steps would overflow
     ])
     def test_bad_field(self, tmp_path, capsys, override, field):
         config = tiny_dict()

@@ -14,6 +14,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 
 import firescout
 from firescout import nn
+from firescout.dqn import ReplayBuffer, Trainer, TrainingConfig
 from firescout.nn import (
     _TAP_MIN_BYTES,
     AdaMax,
@@ -97,6 +99,9 @@ def assert_same_bits(got, want):
 
 class OracleConv2D(Conv2D):
     """im2col by k*k slice copies; backward always computes dx by col2im."""
+
+    def forward(self, x):
+        return self.forward_cached(x)[0]
 
     def forward_cached(self, x):
         n, h, w, c = x.shape
@@ -654,28 +659,43 @@ def conv_networks(draw):
 
 
 class ConvPaths:
-    """Spies on Conv2D: the image count of each im2col matrix a layer
-    builds, and (layer, input_grad, dw tap by tap) of each backward call.
-    A backward pass whose cache holds the layer input (4-d) rather than an
-    im2col matrix (2-d) computes dw one kernel tap at a time."""
+    """Spies on Conv2D: per forward call of a layer, the image count of each
+    im2col matrix it builds, and (layer, input_grad, dw tap by tap) of each
+    backward call. A backward pass whose cache holds the layer input (4-d)
+    rather than an im2col matrix (2-d) computes dw one kernel tap at a
+    time. The network may itself pass a layer a chunk of images at a time,
+    one forward call each."""
 
     def __init__(self, monkeypatch):
         self.columns, self.backward = [], []
-        columns, backward = Conv2D._columns, Conv2D.backward
+        conv, columns, backward = Conv2D._conv, Conv2D._columns, Conv2D.backward
+
+        def spy_conv(layer, x):
+            self.columns.append((layer, []))
+            return conv(layer, x)
 
         def spy_columns(layer, xp, h, w):
-            self.columns.append((layer, len(xp)))
+            self.columns[-1][1].append(len(xp))
             return columns(layer, xp, h, w)
 
         def spy_backward(layer, cache, dout, input_grad=True):
             self.backward.append((layer, input_grad, cache[0].ndim == 4))
             return backward(layer, cache, dout, input_grad)
 
+        monkeypatch.setattr(Conv2D, "_conv", spy_conv)
         monkeypatch.setattr(Conv2D, "_columns", spy_columns)
         monkeypatch.setattr(Conv2D, "backward", spy_backward)
 
     def chunks(self, layer):
-        return [n for other, n in self.columns if other is layer]
+        """Per forward call of layer, the image counts of its im2col matrices."""
+        return [sizes for other, sizes in self.columns if other is layer]
+
+    def images(self, layer):
+        return sum(map(sum, self.chunks(layer)))
+
+    def splits(self, layer):
+        """Whether a forward call of layer built im2col a chunk of images at a time."""
+        return any(len(sizes) > 1 for sizes in self.chunks(layer))
 
 
 def assert_network_matches_oracle(net, oracle, batch, forward_rows):
@@ -714,9 +734,8 @@ class TestNetworkBitIdentity:
         convs = [layer for layer in net.image_layers if isinstance(layer, Conv2D)]
         # a split layer builds im2col a chunk of images at a time and dw tap by
         # tap; only the first conv layer, whose input is the image, skips dx
-        chunks = [paths.chunks(layer) for layer in convs]
-        assert [sum(sizes) for sizes in chunks] == [batch] * len(convs)
-        assert [len(sizes) > 1 for sizes in chunks] == splits
+        assert [paths.images(layer) for layer in convs] == [batch] * len(convs)
+        assert [paths.splits(layer) for layer in convs] == splits
         assert paths.backward == [(layer, layer is not convs[0], split)
                                   for layer, split in reversed(list(zip(convs, splits)))]
         assert_network_matches_oracle(net, oracle, (images, conts, actions, targets), (1, 3, 64))
@@ -752,9 +771,8 @@ class TestNetworkBitIdentity:
         batch = tuple(a[:n] for a in batch)
         net.loss_and_gradients(*batch)
         convs = [layer for layer in net.image_layers if isinstance(layer, Conv2D)]
-        chunks = [paths.chunks(layer) for layer in convs]
-        assert [sum(sizes) for sizes in chunks] == [n] * len(convs)
-        assert [len(sizes) > 1 for sizes in chunks] == splits
+        assert [paths.images(layer) for layer in convs] == [n] * len(convs)
+        assert [paths.splits(layer) for layer in convs] == splits
         assert [tapped for _, _, tapped in reversed(paths.backward)] == splits
         assert_network_matches_oracle(net, oracle, batch, (1, 3, 64))
 
@@ -1160,3 +1178,166 @@ def test_small_shape_kernels_hold_at_each_blas_thread_count(threads):
     """The small-shape kernel tests in a child on one and on two OpenBLAS
     threads, whatever count this process runs at."""
     run_tests_in_child([f"{__file__}::TestSmallShapeKernels"], blas_thread_env(threads))
+
+
+# -- a gradient step on two threads ---------------------------------------------
+
+SERIAL = float("inf")  # as _THREAD_MIN_MACS: one thread and whole-batch passes
+STEP_PROFILES = {
+    "desk-observation": (NetworkConfig(image_shape=(10, 8, 1), **DESK), 6),
+    "desk-belief": (NetworkConfig(image_shape=(20, 20, 2), **DESK), 6),
+    "paper-observation": (NetworkConfig(image_shape=(40, 30, 1)), 1),
+}
+
+
+def step_trainer(config, seed=70, target_config=None):
+    """A Trainer at batch 64 whose replay holds 128 random pair rows; the
+    target is the online network's clone, or a fresh network of
+    target_config."""
+    rng = np.random.default_rng(seed)
+    buffer = ReplayBuffer(256, config.image_shape)
+    for _ in range(64):
+        images = rng.integers(0, 2, size=(2, *config.image_shape)).astype(np.float32)
+        conts = rng.normal(size=(2, 1, 5)).astype(np.float32)
+        buffer.push(images, conts, rng.integers(0, 2, 2), rng.normal(size=2).astype(np.float32),
+                    images[::-1], conts[::-1])
+    online = QNetwork(config, rng)
+    target = online.clone() if target_config is None else QNetwork(target_config, rng)
+    cfg = TrainingConfig(total_iterations=10, batch_size=64, replay_capacity=256, prefill=0,
+                         target_update_period=4)
+    return Trainer(online, target, buffer, AdaMax(online.parameters()), cfg)
+
+
+def run_steps(config, steps, monkeypatch, min_macs):
+    monkeypatch.setattr(nn, "_THREAD_MIN_MACS", min_macs)
+    trainer, rng = step_trainer(config), np.random.default_rng(71)
+    losses = [trainer.train_step(rng) for _ in range(steps)]
+    return np.array(losses), trainer.online.vector.copy(), trainer.target.vector.copy()
+
+
+class CountThreads:
+    """Counts the threads nn starts."""
+
+    def __init__(self, monkeypatch):
+        self.started = 0
+        counter = self
+
+        class Counted(threading.Thread):
+            def start(self):
+                counter.started += 1
+                super().start()
+
+        monkeypatch.setattr(nn.threading, "Thread", Counted)
+
+
+class TestTwoThreadStep:
+    """With every piece on a second thread (the size rule patched to 0),
+    train_step gives the bits of the one-thread, whole-batch step."""
+
+    @pytest.mark.parametrize("profile", STEP_PROFILES)
+    def test_weights_and_losses_match_one_thread(self, profile, monkeypatch):
+        config, steps = STEP_PROFILES[profile]
+        threads = CountThreads(monkeypatch)
+        serial = run_steps(config, steps, monkeypatch, SERIAL)
+        assert threads.started == 0
+        two = run_steps(config, steps, monkeypatch, 0)
+        # per step: the target pass, and dw beside dx in every conv layer but the first
+        assert threads.started == steps * config.conv_stages
+        for got, want in zip(two, serial):
+            assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("profile, threads", [("desk-observation", 0), ("desk-belief", 0),
+                                                  ("paper-observation", 3)])
+    def test_size_rule_keeps_desk_steps_on_one_thread(self, profile, threads, monkeypatch):
+        counted = CountThreads(monkeypatch)
+        step_trainer(STEP_PROFILES[profile][0]).train_step(np.random.default_rng(72))
+        assert counted.started == threads
+
+    def test_no_thread_outlives_the_step(self, monkeypatch):
+        monkeypatch.setattr(nn, "_THREAD_MIN_MACS", 0)
+        trainer, rng = step_trainer(STEP_PROFILES["desk-belief"][0]), np.random.default_rng(73)
+        before = threading.active_count()
+        for _ in range(3):
+            trainer.train_step(rng)
+            assert threading.active_count() == before
+
+    def test_worker_exception_reaches_the_caller(self, monkeypatch):
+        """A target network of another image shape fails its pass on the
+        second thread; train_step raises that error, and no thread is left."""
+        monkeypatch.setattr(nn, "_THREAD_MIN_MACS", 0)
+        config = STEP_PROFILES["desk-belief"][0]
+        trainer = step_trainer(config, target_config=NetworkConfig(image_shape=(20, 20, 1),
+                                                                  **DESK))
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="image shape"):
+            trainer.train_step(np.random.default_rng(74))
+        assert threading.active_count() == before
+
+    def test_second_thread_calls_no_public_method(self, monkeypatch):
+        """Benchmark tracing wraps these methods with one span stack per
+        process: the second thread must not call them."""
+        monkeypatch.setattr(nn, "_THREAD_MIN_MACS", 0)
+        trainer = step_trainer(STEP_PROFILES["desk-belief"][0])
+        callers = set()
+        for owner, name in [(QNetwork, "forward_batch"), (QNetwork, "forward_team"),
+                            (QNetwork, "loss_and_gradients"), (Conv2D, "forward_cached"),
+                            (Conv2D, "backward"), (MaxPool2, "backward"), (AdaMax, "step")]:
+            def spy(*args, _fn=getattr(owner, name), **kwargs):
+                callers.add(threading.current_thread())
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(owner, name, spy)
+        trainer.train_step(np.random.default_rng(75))
+        assert callers == {threading.main_thread()}
+
+
+def chunk_case():
+    """A network whose every conv layer's product for one image passes the
+    small-GEMM limits (so chunks of one image keep the batch's kernel), and
+    a batch of 7 images."""
+    config = NetworkConfig(image_shape=(24, 20, 4), conv_stages=3, conv_filters=64,
+                           image_dense=(16,), continuous_dense=(8,), merge_dense=(8,))
+    return config, training_batch(config, 7, 76)
+
+
+class TestChunkedConvStages:
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+    def test_pure_and_cached_passes_match_whole_batch(self, chunk, monkeypatch):
+        config, batch = chunk_case()
+        net = QNetwork(config, np.random.default_rng(77))
+        assert net._chunk == 1
+        monkeypatch.setattr(nn, "_THREAD_MIN_MACS", SERIAL)
+        assert net._chunks(7) == [(0, 7)]
+        whole = net.forward_batch(*batch[:2]), *net.loss_and_gradients(*batch)
+        monkeypatch.setattr(nn, "_THREAD_MIN_MACS", 0)
+        net._chunk = chunk
+        bounds = net._chunks(7)
+        assert bounds[0][0] == 0 and bounds[-1][1] == 7
+        assert all(j - i == chunk for i, j in bounds[:-1]) and chunk <= 7 - bounds[-1][0] < 2 * chunk
+        chunked = net.forward_batch(*batch[:2]), *net.loss_and_gradients(*batch)
+        assert_same_bits(chunked[0], whole[0])
+        assert np.float64(chunked[1]).tobytes() == np.float64(whole[1]).tobytes()
+        assert_same_bits(chunked[2].vector, whole[2].vector)
+
+    def test_paper_observation_chunks_keep_the_large_gemm_kernel(self, monkeypatch):
+        """Paper observation runs two images a chunk: conv-1's product for
+        one image (1,200 x 9 x 64 = 691,200 multiply-adds) is under
+        _SMALL_GEMM_MNK."""
+        config = NetworkConfig(image_shape=(40, 30, 1))
+        net = QNetwork(config, np.random.default_rng(78))
+        assert net._chunk == 2
+        batch = training_batch(config, 9, 79)
+        assert net._chunks(9) == [(0, 2), (2, 4), (4, 6), (6, 9)]
+        chunked = net.forward_batch(*batch[:2]), *net.loss_and_gradients(*batch)
+        monkeypatch.setattr(nn, "_THREAD_MIN_MACS", SERIAL)
+        whole = net.forward_batch(*batch[:2]), *net.loss_and_gradients(*batch)
+        assert_same_bits(chunked[0], whole[0])
+        assert np.float64(chunked[1]).tobytes() == np.float64(whole[1]).tobytes()
+        assert_same_bits(chunked[2].vector, whole[2].vector)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_two_thread_step_holds_at_each_blas_thread_count(threads):
+    """The two-thread step and chunked-pass tests in a child on one and on
+    two OpenBLAS threads."""
+    run_tests_in_child([f"{__file__}::TestTwoThreadStep", f"{__file__}::TestChunkedConvStages"],
+                       blas_thread_env(threads))
