@@ -1116,23 +1116,27 @@ class TestStepMemoryAndDtype:
 
     def test_paper_belief_step_peak_rss(self):
         """A paper belief gradient step at batch 64 (target forward,
-        loss_and_gradients, AdaMax) peaks under 600 MB in a fresh process."""
-        code = ("import resource\n"
-                "import numpy as np\n"
-                "from firescout.nn import AdaMax, NetworkConfig, QNetwork\n"
-                "rng = np.random.default_rng(52)\n"
-                "net = QNetwork(NetworkConfig(image_shape=(100, 100, 2)), rng)\n"
-                "target, opt = net.clone(), AdaMax(net.parameters())\n"
-                "images = rng.integers(0, 2, size=(64, 100, 100, 2)).astype(np.float32)\n"
-                "conts = rng.normal(size=(64, 5)).astype(np.float32)\n"
-                "targets = target.forward_batch(images, conts).max(axis=1)\n"
-                "_, grads = net.loss_and_gradients(images, conts, rng.integers(0, 2, 64), targets)\n"
-                "opt.step(net.parameters(), grads)\n"
-                "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
-        proc = subprocess.run([sys.executable, "-c", code], env=blas_thread_env(1),
-                              capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        assert int(proc.stdout) < 600 * 1024, f"ru_maxrss {int(proc.stdout) / 1024:.0f} MB"
+        loss_and_gradients, AdaMax) peaks under 600 MB in a fresh process,
+        also once the process keeps its freed heap, as training does."""
+        for setup in ("", "from firescout.dqn import keep_freed_heap\nkeep_freed_heap()\n"):
+            code = (setup +
+                    "import resource\n"
+                    "import numpy as np\n"
+                    "from firescout.nn import AdaMax, NetworkConfig, QNetwork\n"
+                    "rng = np.random.default_rng(52)\n"
+                    "net = QNetwork(NetworkConfig(image_shape=(100, 100, 2)), rng)\n"
+                    "target, opt = net.clone(), AdaMax(net.parameters())\n"
+                    "images = rng.integers(0, 2, size=(64, 100, 100, 2)).astype(np.float32)\n"
+                    "conts = rng.normal(size=(64, 5)).astype(np.float32)\n"
+                    "targets = target.forward_batch(images, conts).max(axis=1)\n"
+                    "_, grads = net.loss_and_gradients(images, conts, rng.integers(0, 2, 64), targets)\n"
+                    "opt.step(net.parameters(), grads)\n"
+                    "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+            proc = subprocess.run([sys.executable, "-c", code], env=blas_thread_env(1),
+                                  capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            assert int(proc.stdout) < 600 * 1024, \
+                f"ru_maxrss {int(proc.stdout) / 1024:.0f} MB after {setup!r}"
 
     def test_gradients_and_updates_stay_float32(self):
         config = NetworkConfig(image_shape=(20, 20, 2), **DESK)
